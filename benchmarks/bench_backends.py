@@ -28,7 +28,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import SMaTConfig
+from repro import ExecutionPolicy, SMaTConfig
 from repro.analysis import geometric_mean
 from repro.engine import SpMMEngine
 from repro.matrices import band_matrix, suitesparse
@@ -123,7 +123,7 @@ def test_non_smat_cached_plan_speedup(benchmark, bench_scale):
     B = dense_rhs(A.ncols, N_COLS)
     config = SMaTConfig(kernel="magicube")
 
-    with SpMMEngine(config, cache_size=4, max_workers=1) as engine:
+    with SpMMEngine(config, cache_size=4, policy=ExecutionPolicy(max_workers=1)) as engine:
         start = time.perf_counter()
         C_cold = engine.multiply(A, B)
         cold_ms = 1e3 * (time.perf_counter() - start)

@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import SMaT, SMaTConfig
+from repro import ExecutionPolicy, SMaT, SMaTConfig
 from repro.engine import SpMMEngine
 from repro.matrices import suitesparse
 
@@ -51,7 +51,7 @@ def test_plan_cache_hit_speedup(benchmark, problem):
     A, Bs = problem
     B = Bs[0]
 
-    with SpMMEngine(SMaTConfig(), cache_size=4, max_workers=1) as engine:
+    with SpMMEngine(SMaTConfig(), cache_size=4, policy=ExecutionPolicy(max_workers=1)) as engine:
         _, cold_ms = _time(lambda: engine.multiply(A, B))
         _, warm_ms = _time(lambda: engine.multiply(A, B))
         # steady-state cached latency is what the benchmark timer measures
@@ -88,7 +88,7 @@ def test_batched_vs_sequential_throughput(benchmark, problem):
     smat = SMaT(A, SMaTConfig())  # preprocessing paid up front for both paths
     _, seq_ms = _time(lambda: [smat.multiply(B) for B in Bs])
 
-    with SpMMEngine(SMaTConfig(), cache_size=4, max_workers=4) as engine:
+    with SpMMEngine(SMaTConfig(), cache_size=4, policy=ExecutionPolicy(max_workers=4)) as engine:
         engine.plan_for(A)  # warm the cache so only execution is compared
         outcome, batch_ms = _time(lambda: engine.multiply_many(A, Bs))
         benchmark(lambda: engine.multiply_many(A, Bs))

@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import SMaT
+from repro import ExecutionPolicy, SMaT
 from repro.matrices import suitesparse
 from repro.serve import SpMMClient, SpMMServer
 
@@ -38,7 +38,7 @@ def test_warm_vs_cold_request_latency(benchmark, bench_scale, bench_rng):
     A = suitesparse.load(MATRIX, scale=bench_scale)
     B = bench_rng.normal(size=(A.ncols, N_COLS)).astype(np.float32)
 
-    with SpMMServer(max_workers=2) as server:
+    with SpMMServer(policy=ExecutionPolicy(max_workers=2)) as server:
         client = SpMMClient(server.url)
         fp = client.register(A)
 
@@ -84,7 +84,7 @@ def test_sustained_warm_throughput(benchmark, bench_scale, bench_rng):
     A = suitesparse.load(MATRIX, scale=bench_scale)
     B = bench_rng.normal(size=(A.ncols, N_COLS)).astype(np.float32)
 
-    with SpMMServer(max_workers=2) as server:
+    with SpMMServer(policy=ExecutionPolicy(max_workers=2)) as server:
         client = SpMMClient(server.url)
         fp = client.register(A)
         client.multiply(fp, B)  # pay the plan build outside the burst

@@ -18,7 +18,7 @@ Two claims of the sharded subsystem are gated here:
 import numpy as np
 import pytest
 
-from repro import SMaT, SMaTConfig
+from repro import ExecutionPolicy, SMaT, SMaTConfig
 from repro.formats import CSRMatrix
 from repro.matrices import block_band_matrix, hidden_cluster_matrix, suitesparse
 from repro.shard import ShardedSpMM
@@ -53,7 +53,7 @@ def test_sharded_vs_single_plan_balanced(benchmark, bench_scale):
     C_single = smat.multiply(B)
     single_ms = best_of(lambda: smat.multiply(B), repeats=7)
 
-    with ShardedSpMM(A, GRID, max_workers=4) as sharded:
+    with ShardedSpMM(A, GRID, policy=ExecutionPolicy(max_workers=4)) as sharded:
         C_sharded, report = sharded.multiply(B, return_report=True)
         sharded_ms = best_of(lambda: sharded.multiply(B), repeats=7)
         benchmark(lambda: sharded.multiply(B))
@@ -106,7 +106,7 @@ def test_per_shard_tuning_skewed(benchmark):
     single_plan = SMaT(A, single_cfg)
     C_single, single_report = single_plan.multiply(B, return_report=True)
 
-    with ShardedSpMM(A, 2, tune=True, tuner=Tuner(cache=False)) as tuned:
+    with ShardedSpMM(A, 2, policy=ExecutionPolicy(tune=True), tuner=Tuner(cache=False)) as tuned:
         C_sharded, tuned_report = tuned.multiply(B, return_report=True)
         benchmark(lambda: tuned.multiply(B))
     # control: same shards, but forced onto the single-plan configuration

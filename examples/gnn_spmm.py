@@ -20,7 +20,7 @@ Run:  python examples/gnn_spmm.py
 import numpy as np
 
 from repro.analysis import format_table
-from repro.engine import SpMMEngine
+from repro.engine import ExecutionPolicy, SpMMEngine
 from repro.formats import gcn_normalize
 from repro.matrices import scale_free_graph
 from repro.workloads import gcn_forward
@@ -51,7 +51,7 @@ def main() -> None:
         for _ in range(N_LAYERS)
     ]
 
-    with SpMMEngine(cache_size=8, max_workers=4) as engine:
+    with SpMMEngine(cache_size=8, policy=ExecutionPolicy(max_workers=4)) as engine:
         cold = gcn_forward(adj, H0, weights, engine=engine)
         warm = gcn_forward(adj, H0, weights, engine=engine)  # plan already cached
 

@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from repro import SMaT, SMaTConfig
+from repro import ExecutionPolicy, SMaT, SMaTConfig
 from repro.analysis import format_table
 from repro.matrices import suitesparse
 from repro.shard import ShardedSpMM
@@ -54,7 +54,7 @@ def main() -> None:
     C_single = smat.multiply(B)
     single_ms = best_of(lambda: smat.multiply(B))
 
-    with ShardedSpMM(A, GRID, max_workers=4) as sharded:
+    with ShardedSpMM(A, GRID, policy=ExecutionPolicy(max_workers=4)) as sharded:
         C_sharded, report = sharded.multiply(B, return_report=True)
         sharded_ms = best_of(lambda: sharded.multiply(B))
 
@@ -76,7 +76,7 @@ def main() -> None:
     print(
         f"simulated device time: {report.critical_path_ms:.4f} ms critical path "
         f"({report.simulated_ms:.4f} ms serial) -- per-shard plans open the "
-        "door to per-shard tuning (ShardedSpMM(..., tune=True))"
+        "door to per-shard tuning (ShardedSpMM(..., policy=ExecutionPolicy(tune=True)))"
     )
 
 

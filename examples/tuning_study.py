@@ -18,8 +18,9 @@ This example tunes two very different matrices:
   reordering pass and to find the block shape that fits the band.
 
 It then shows the persistent tuning cache absorbing the second search,
-which is how ``SMaTConfig(reorder="auto")`` and ``SpMMEngine(tune=True)``
-stay cheap in serving workloads.
+which is how ``SMaTConfig(reorder="auto")`` and
+``SpMMEngine(policy=ExecutionPolicy(tune=True))`` stay cheap in serving
+workloads.
 
 Run:  python examples/tuning_study.py
 """
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import SMaTConfig
+from repro import ExecutionPolicy, SMaTConfig
 from repro.analysis import format_table
 from repro.engine import SpMMEngine
 from repro.matrices import block_band_matrix, hidden_cluster_matrix
@@ -85,7 +86,9 @@ def main() -> None:
 
         # the engine does the same transparently for every matrix it sees
         B = rng.normal(size=(clustered.ncols, 8)).astype(np.float32)
-        with SpMMEngine(SMaTConfig(), tune=True, tuning_cache=cache_path) as engine:
+        with SpMMEngine(
+            SMaTConfig(), policy=ExecutionPolicy(tune=True), tuning_cache=cache_path
+        ) as engine:
             outcome = engine.multiply_many(clustered, [B] * 8)
         print(
             f"tuned engine: {len(outcome)} multiplies, "

@@ -20,6 +20,7 @@ import argparse
 from typing import Optional
 
 from .core.policy import EXECUTOR_KINDS, ExecutionPolicy
+from .shard.partition import PARTITION_MODES
 
 __all__ = [
     "scale_type",
@@ -37,9 +38,6 @@ __all__ = [
 
 #: kernel backends selectable from the command line (``auto`` = tuner pick)
 KERNEL_CHOICES = ("smat", "cusparse", "dasp", "magicube", "cublas", "auto")
-
-#: shard balancing modes selectable from the command line
-SHARD_MODE_CHOICES = ("nnz", "cost")
 
 
 # -- type= validators ---------------------------------------------------------
@@ -141,7 +139,7 @@ def add_shard_mode_arg(
     """The ``--mode`` flag (shard balancing mode)."""
     parser.add_argument(
         "--mode",
-        choices=SHARD_MODE_CHOICES,
+        choices=PARTITION_MODES,
         default="nnz",
         help=help or "shard balancing mode: non-zeros or Eq.1 predicted cost",
     )

@@ -3,7 +3,7 @@ library comparison harness."""
 
 from .comparison import DEFAULT_LIBRARIES, LibraryMeasurement, compare_libraries
 from .config import SMaTConfig
-from .policy import EXECUTOR_KINDS, ExecutionPolicy, OnlineTuningConfig, policy_from_legacy
+from .policy import EXECUTOR_KINDS, ExecutionPolicy, OnlineTuningConfig
 from .perfmodel import FitResult, LinearPerformanceModel, block_count_bounds
 from .plan import ExecutionPlan, PlanSpec, config_signature, matrix_fingerprint, plan_key
 from .smat import MultiplyReport, PreprocessReport, SMaT
@@ -14,7 +14,6 @@ __all__ = [
     "ExecutionPolicy",
     "OnlineTuningConfig",
     "EXECUTOR_KINDS",
-    "policy_from_legacy",
     "PlanSpec",
     "ExecutionPlan",
     "PreprocessReport",

@@ -1,25 +1,19 @@
 """Unified execution policy for the serving stack.
 
-Five PRs of organic growth scattered execution knobs (``max_workers=``,
-``tune=``, ``sharded=``, ``grid=``, ``mode=``, ``latency_window=``)
-across :class:`~repro.engine.SpMMEngine`, :class:`~repro.shard.ShardedSpMM`,
-every workload function and ``repro serve``.  :class:`ExecutionPolicy`
-collects them into one frozen value object that every surface accepts as
-``policy=``, and adds the new knob that motivated the redesign: which
-*executor* runs sharded work -- the in-process thread pool (``"thread"``)
-or the GIL-escaping shared-memory process pool (``"process"``).
-
-The old keyword arguments keep working through
-:func:`policy_from_legacy`: each surface routes its legacy kwargs through
-the shim, which builds the equivalent policy and emits exactly one
-:class:`DeprecationWarning` naming the replacement.
+:class:`ExecutionPolicy` is the one frozen value object that carries the
+execution knobs (pool width, tuning, sharded routing, telemetry window,
+tracing, online tuning) and which *executor* runs sharded work -- the
+in-process thread pool (``"thread"``) or the GIL-escaping shared-memory
+process pool (``"process"``).  :class:`~repro.engine.SpMMEngine`,
+:class:`~repro.shard.ShardedSpMM`, every workload function,
+``SpMMServer`` and the CLI subcommands take it as ``policy=``; it is the
+only way to set these options.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -31,7 +25,6 @@ __all__ = [
     "OnlineTuningConfig",
     "default_executor",
     "default_online_tune",
-    "policy_from_legacy",
 ]
 
 #: executors selectable via ``ExecutionPolicy(executor=...)`` / ``--executor``
@@ -47,11 +40,6 @@ ONLINE_TUNE_ENV = "REPRO_ONLINE_TUNE"
 
 _ENV_FALSE = ("", "0", "false", "off", "no")
 _ENV_TRUE = ("1", "true", "on", "yes")
-
-#: shard balancing modes (mirrors ``repro.shard.partition.PARTITION_MODES``;
-#: duplicated literally to keep ``repro.core`` import-independent of the
-#: shard package)
-_SHARD_MODES = ("nnz", "cost")
 
 
 def default_executor() -> str:
@@ -163,19 +151,7 @@ class ExecutionPolicy:
 
     One frozen value accepted uniformly by ``SpMMEngine(policy=...)``,
     ``ShardedSpMM``, the workload functions, ``SpMMServer`` and the CLI
-    subcommands.  Field-for-field it replaces the legacy kwargs:
-
-    ========================  ==============================
-    legacy kwarg              policy field
-    ========================  ==============================
-    ``max_workers=``          :attr:`max_workers`
-    ``tune=``                 :attr:`tune`
-    ``sharded=``              :attr:`sharded`
-    ``grid=``                 :attr:`grid`
-    ``mode=``                 :attr:`shard_mode`
-    ``latency_window=``       :attr:`latency_window`
-    (new)                     :attr:`executor`
-    ========================  ==============================
+    subcommands.
     """
 
     #: ``"thread"``, ``"process"``, or ``None`` = resolve from
@@ -208,9 +184,12 @@ class ExecutionPolicy:
             )
         if int(self.max_workers) < 1:
             raise ValueError(f"max_workers must be >= 1, got {self.max_workers!r}")
-        if self.shard_mode not in _SHARD_MODES:
+        # imported here: the shard package imports this module
+        from ..shard.partition import PARTITION_MODES
+
+        if self.shard_mode not in PARTITION_MODES:
             raise ValueError(
-                f"shard_mode must be one of {_SHARD_MODES}, got {self.shard_mode!r}"
+                f"shard_mode must be one of {PARTITION_MODES}, got {self.shard_mode!r}"
             )
         if int(self.latency_window) < 1:
             raise ValueError(
@@ -245,63 +224,3 @@ class ExecutionPolicy:
     def replace(self, **changes) -> "ExecutionPolicy":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""
         return dataclasses.replace(self, **changes)
-
-
-#: map of legacy kwarg name (as surfaces expose it) -> policy field
-_LEGACY_FIELDS = {
-    "max_workers": "max_workers",
-    "tune": "tune",
-    "sharded": "sharded",
-    "grid": "grid",
-    "mode": "shard_mode",
-    "latency_window": "latency_window",
-}
-
-
-def policy_from_legacy(
-    policy: Optional[ExecutionPolicy],
-    *,
-    where: str,
-    base: Optional[ExecutionPolicy] = None,
-    stacklevel: int = 3,
-    **legacy,
-) -> ExecutionPolicy:
-    """Resolve ``policy=`` against deprecated per-surface kwargs.
-
-    ``legacy`` holds the surface's old keyword arguments with ``None``
-    meaning "not passed" (every surface migrated its legacy defaults to
-    ``None`` sentinels).  Three outcomes:
-
-    * nothing legacy passed -> ``policy`` (or ``base`` / a default one);
-    * legacy kwargs passed and ``policy is None`` -> build the equivalent
-      policy and emit **one** :class:`DeprecationWarning` naming the
-      ``ExecutionPolicy(...)`` replacement;
-    * both passed -> :class:`TypeError` (ambiguous).
-
-    ``where`` names the surface in the warning (e.g. ``"SpMMEngine"``);
-    ``base`` supplies defaults for fields the legacy kwargs leave unset.
-    """
-    provided = {k: v for k, v in legacy.items() if v is not None}
-    if not provided:
-        if policy is not None:
-            return policy
-        return base if base is not None else ExecutionPolicy()
-    if policy is not None:
-        raise TypeError(
-            f"{where}: pass either policy= or the legacy keyword(s) "
-            f"{sorted(provided)}, not both"
-        )
-    unknown = sorted(set(provided) - set(_LEGACY_FIELDS))
-    if unknown:  # programming error on the calling surface, not the user
-        raise TypeError(f"{where}: unknown legacy keyword(s) {unknown}")
-    fields = {_LEGACY_FIELDS[k]: v for k, v in provided.items()}
-    replacement = ", ".join(f"{k}={v!r}" for k, v in sorted(fields.items()))
-    warnings.warn(
-        f"{where}: keyword argument(s) {sorted(provided)} are deprecated; "
-        f"pass policy=ExecutionPolicy({replacement}) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    if base is not None:
-        return base.replace(**fields)
-    return ExecutionPolicy(**fields)

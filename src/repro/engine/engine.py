@@ -22,9 +22,7 @@ How the engine executes is described by one frozen
 :class:`~repro.core.policy.ExecutionPolicy` value -- pool width, tuning,
 sharding defaults, and (new) which *executor* runs sharded work: the
 in-process thread pool or the GIL-escaping shared-memory process pool
-(:mod:`repro.engine.executors`).  The legacy per-kwarg spelling
-(``max_workers=``, ``tune=``, ...) still works through a deprecation
-shim.
+(:mod:`repro.engine.executors`).
 
 Example
 -------
@@ -64,7 +62,7 @@ import numpy as np
 
 from ..core.config import SMaTConfig
 from ..core.plan import ExecutionPlan, MultiplyReport, build_with_fallback, plan_key
-from ..core.policy import ExecutionPolicy, policy_from_legacy
+from ..core.policy import ExecutionPolicy
 from ..formats import CSRMatrix
 from ..obs import MetricsRegistry, Tracer
 from .cache import CacheStats, PlanCache
@@ -205,11 +203,6 @@ class SpMMEngine:
         Engines pointing at the same path share search results -- also
         across processes.  Passing ``tuning_cache`` (like ``tuner``)
         implies tuning.
-    max_workers, tune, latency_window:
-        **Deprecated** spellings of the matching
-        :class:`~repro.core.policy.ExecutionPolicy` fields; passing any
-        of them (without ``policy=``) builds the equivalent policy and
-        emits one :class:`DeprecationWarning`.
     """
 
     def __init__(
@@ -220,17 +213,9 @@ class SpMMEngine:
         cache_size: int = 8,
         tuner=None,
         tuning_cache=None,
-        max_workers: Optional[int] = None,
-        tune: Optional[bool] = None,
-        latency_window: Optional[int] = None,
     ):
-        policy = policy_from_legacy(
-            policy,
-            where="SpMMEngine",
-            max_workers=max_workers,
-            tune=tune,
-            latency_window=latency_window,
-        )
+        if policy is None:
+            policy = ExecutionPolicy()
         self.config = (config or SMaTConfig()).validate()
         self.policy = policy
         self.max_workers = int(policy.max_workers)

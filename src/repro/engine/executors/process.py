@@ -43,7 +43,7 @@ import numpy as np
 from ...obs.trace import NULL_TRACER, SpanContext, Tracer
 from .base import ExecutorTelemetry, ShardExecutor, resolve_tuning_cache_path, validate_operand
 from .placement import Placement, place_shards, predict_shard_cost
-from .shm import SegmentRegistry, attach_segment, ndarray_view
+from .shm import SegmentRegistry, attach_segment, ndarray_view, share_resource_tracker
 
 __all__ = ["ProcessShardExecutor"]
 
@@ -150,6 +150,7 @@ class ProcessShardExecutor(ShardExecutor):
         # gather locks are created *before* the workers so they can be
         # inherited / passed as Process args (queues cannot carry them)
         gather_locks = [self._ctx.Lock() for _ in range(N_GATHER_LOCKS)]
+        share_resource_tracker()
         self._workers: List[Tuple[object, object]] = []  # (Process, task queue)
         for wid in range(int(max_workers)):
             tasks = self._ctx.Queue()

@@ -9,13 +9,14 @@ segment the executor creates goes through the :class:`SegmentRegistry`
 below, which guarantees close-and-unlink on :meth:`SegmentRegistry.close`
 -- and, as a safety net, at interpreter exit.
 
-Worker processes only ever *attach* to segments the parent created;
-:func:`attach_segment` works around the CPython ``resource_tracker``
-mis-accounting (attaching registers the segment a second time, so worker
-exit would unlink storage the parent still uses and spam
-``KeyError: shared_memory`` warnings -- a known bug fixed only by the
-``track=False`` keyword of Python 3.13, which this codebase's 3.9 floor
-cannot use).
+Worker processes only ever *attach* to segments the parent created, and
+they share the parent's ``multiprocessing.resource_tracker``
+(:func:`share_resource_tracker` starts it before the workers fork).  The
+parent's create registers each segment once and its unlink unregisters
+it once; a worker's attach adds nothing the tracker does not already
+hold, so it never unregisters.  Unregistering from the worker removed the
+parent's entry, and the parent's unlink then made the tracker print a
+``KeyError`` traceback per segment.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import atexit
 import os
 import secrets
+import sys
 import threading
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional
@@ -34,6 +36,7 @@ __all__ = [
     "attach_segment",
     "ndarray_view",
     "leaked_segments",
+    "share_resource_tracker",
 ]
 
 #: name prefix of every segment this package creates (leak tests and the
@@ -147,23 +150,30 @@ def _destroy(shm: shared_memory.SharedMemory) -> None:
         pass
 
 
+def share_resource_tracker() -> None:
+    """Start this process's ``resource_tracker`` before workers start.
+
+    Forked workers inherit a running tracker (spawned ones are always
+    handed the parent's).  A pool forked before the tracker ran would
+    give each worker a private one, which unlinks every segment the
+    worker attached to when the worker exits.
+    """
+    from multiprocessing import resource_tracker
+
+    resource_tracker.ensure_running()
+
+
 def attach_segment(name: str) -> shared_memory.SharedMemory:
     """Attach to a parent-created segment from a worker process.
 
-    Detaches the segment from this process's ``resource_tracker``
-    bookkeeping: the parent (via its :class:`SegmentRegistry`) is the
-    sole owner, and without the unregister a worker's exit would unlink
-    segments the parent is still serving from (CPython issue; 3.13 grew
-    ``track=False`` for exactly this, but the repo supports 3.9+).
+    The worker shares the parent's tracker, which already holds the
+    segment: before Python 3.13 the attach re-registers it (a no-op in
+    the tracker's set), from 3.13 ``track=False`` skips that.  Only the
+    parent's :class:`SegmentRegistry` unlinks and unregisters.
     """
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals shifted
-        pass
-    return shm
+    if sys.version_info >= (3, 13):
+        return shared_memory.SharedMemory(name=name, track=False)
+    return shared_memory.SharedMemory(name=name)
 
 
 def ndarray_view(

@@ -1,7 +1,7 @@
 """Unified metrics: labelled counters/gauges + exponential-bucket histograms.
 
 One :class:`MetricsRegistry` replaces the repo's previously-duplicated
-latency math (serving ``LatencyWindow``, the engine's percentile deque, and
+latency math (the serving latency window, the engine's percentile deque, and
 per-executor counters).  Histograms keep *both* fixed exponential bucket
 counts (cheap, mergeable, Prometheus-native) and a bounded window of raw
 samples so ``p50``/``p99`` stay numerically identical to the historical

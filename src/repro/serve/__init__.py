@@ -24,7 +24,7 @@ from .errors import (
     QuotaExceeded,
     Unauthorized,
 )
-from .metrics import LatencyWindow, ServerMetrics
+from .metrics import ServerMetrics
 from .registry import MatrixRegistry
 from .wire import decode_array, decode_csr, encode_array, encode_csr
 
@@ -39,7 +39,6 @@ __all__ = [
     "parse_token_specs",
     "MatrixRegistry",
     "ServerMetrics",
-    "LatencyWindow",
     "ApiError",
     "BadRequest",
     "Unauthorized",

@@ -57,7 +57,7 @@ import numpy as np
 
 from ..core.config import SMaTConfig
 from ..core.plan import plan_key
-from ..core.policy import ExecutionPolicy, policy_from_legacy
+from ..core.policy import ExecutionPolicy
 from ..engine import SpMMEngine
 from .admission import AdmissionController
 from .auth import Authenticator, PlanQuota, Tenant
@@ -112,10 +112,6 @@ class SpMMServer:
         :class:`~repro.core.policy.ExecutionPolicy` of the owned engine:
         worker-pool width, tuning, and the thread-vs-process shard
         executor behind sharded queries.
-    max_workers / tune:
-        **Deprecated** spellings of the matching policy fields; passing
-        either (without ``policy=``) builds the equivalent policy and
-        emits one :class:`DeprecationWarning`.
     tokens:
         ``{token: Tenant-or-name}`` auth map; empty means **open mode**
         (a single shared anonymous tenant).
@@ -143,8 +139,6 @@ class SpMMServer:
         engine: Optional[SpMMEngine] = None,
         cache_size: int = 32,
         policy: Optional[ExecutionPolicy] = None,
-        max_workers: Optional[int] = None,
-        tune: Optional[bool] = None,
         tokens: Optional[Dict[str, Union[Tenant, str]]] = None,
         registry_capacity: int = 256,
         max_inflight: Optional[int] = None,
@@ -155,18 +149,13 @@ class SpMMServer:
         log_stream: Optional[TextIO] = None,
     ):
         self.config = (config or SMaTConfig()).validate()
-        has_policy = policy is not None
-        policy = policy_from_legacy(
-            policy, where="SpMMServer", tune=tune, max_workers=max_workers
-        )
         if engine is None:
             engine = SpMMEngine(self.config, policy=policy, cache_size=cache_size)
             self._owns_engine = True
         else:
-            if has_policy or tune:
+            if policy is not None:
                 raise ValueError(
-                    "pass execution options (policy, tune) to the engine itself "
-                    "when providing one"
+                    "pass execution options (policy) to the engine itself when providing one"
                 )
             self._owns_engine = False
         self.engine = engine

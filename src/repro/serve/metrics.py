@@ -22,40 +22,9 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional
 
-from ..obs import Histogram, MetricsRegistry
+from ..obs import MetricsRegistry
 
-__all__ = ["LatencyWindow", "ServerMetrics"]
-
-
-class LatencyWindow:
-    """Bounded reservoir of recent latencies with percentile snapshots.
-
-    Back-compat facade: the samples now live in a
-    :class:`repro.obs.Histogram` (exponential buckets + raw window), and
-    :meth:`snapshot` keeps the historical key names and numerics.
-    """
-
-    def __init__(self, maxlen: int = 2048, histogram: Optional[Histogram] = None):
-        """Wrap ``histogram`` (or a private one bounded at ``maxlen``)."""
-        self._hist = histogram or Histogram(
-            "latency_ms", "request latency (ms)", window=maxlen
-        )
-
-    def record(self, wall_ms: float) -> None:
-        """Add one observation (milliseconds)."""
-        self._hist.observe(float(wall_ms))
-
-    def snapshot(self) -> Dict[str, float]:
-        """JSON-ready summary: count plus mean/p50/p99 over the window."""
-        count = self._hist.count
-        if count == 0:
-            return {"count": 0, "mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0}
-        return {
-            "count": count,
-            "mean_ms": float(self._hist.mean()),
-            "p50_ms": float(self._hist.percentile(50)),
-            "p99_ms": float(self._hist.percentile(99)),
-        }
+__all__ = ["ServerMetrics"]
 
 
 class ServerMetrics:
@@ -82,12 +51,10 @@ class ServerMetrics:
             "repro_http_results_streamed_total",
             "Results yielded by streaming responses",
         )
-        self.latency = LatencyWindow(
-            histogram=self.registry.histogram(
-                "repro_http_request_wall_ms",
-                "Wall time of successful requests (ms)",
-                window=latency_window,
-            )
+        self._latency = self.registry.histogram(
+            "repro_http_request_wall_ms",
+            "Wall time of successful requests (ms)",
+            window=latency_window,
         )
 
     def record_request(
@@ -109,7 +76,7 @@ class ServerMetrics:
         if rejected:
             self._rejected.inc(reason=rejected)
         if status < 400:
-            self.latency.record(wall_ms)
+            self._latency.observe(float(wall_ms))
 
     def record_streamed(self, n_results: int) -> None:
         """Account results yielded by streaming responses."""
@@ -119,6 +86,18 @@ class ServerMetrics:
     def requests_total(self) -> int:
         """Requests accounted so far (any endpoint, any status)."""
         return int(self._requests.total())
+
+    def _latency_snapshot(self) -> Dict[str, float]:
+        """Request latency: count plus mean/p50/p99 over the window."""
+        count = self._latency.count
+        if count == 0:
+            return {"count": 0, "mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0}
+        return {
+            "count": count,
+            "mean_ms": float(self._latency.mean()),
+            "p50_ms": float(self._latency.percentile(50)),
+            "p99_ms": float(self._latency.percentile(99)),
+        }
 
     @staticmethod
     def _int_dict(values: Dict[str, float]) -> Dict[str, int]:
@@ -144,7 +123,7 @@ class ServerMetrics:
             "bytes_in": int(self._bytes_in.total()),
             "results_streamed": int(self._streamed.total()),
         }
-        doc["latency_ms"] = self.latency.snapshot()
+        doc["latency_ms"] = self._latency_snapshot()
         if admission is not None:
             doc["admission"] = {
                 "inflight": admission.inflight,

@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..core.config import SMaTConfig
-from ..core.policy import ExecutionPolicy, policy_from_legacy
+from ..core.policy import ExecutionPolicy
 from ..engine import SpMMEngine
 from ..formats import CSRMatrix
 from .executor import ShardedReport
@@ -55,8 +55,9 @@ class ShardedSpMM:
     policy:
         :class:`~repro.core.policy.ExecutionPolicy` of the owned engine:
         pool width, tuning, and whether shards run on the thread pool or
-        the shared-memory process pool.  (``grid`` passed to this class
-        takes precedence over ``policy.grid``.)
+        the shared-memory process pool.  (``grid`` and ``mode`` passed to
+        this class take precedence over ``policy.grid`` and
+        ``policy.shard_mode``.)
     tuner:
         A pre-configured :class:`~repro.tuner.Tuner` for the owned
         engine (implies tuning); controls the per-shard search budget
@@ -68,11 +69,7 @@ class ShardedSpMM:
         Run through an existing engine (sharing its plan cache, tuner,
         executor and worker pool) instead of owning a private one.
         Execution knobs then belong to that engine (passing
-        ``policy``/``tune``/``tuner``/``tuning_cache`` here raises).
-    tune, max_workers:
-        **Deprecated** spellings of the matching policy fields; passing
-        either (without ``policy=``) builds the equivalent policy and
-        emits one :class:`DeprecationWarning`.
+        ``policy``/``tuner``/``tuning_cache`` here raises).
     n_cols:
         Operand width the ``"cost"`` balancing mode calibrates its Eq. 1
         weights for (irrelevant to ``"nnz"`` mode).
@@ -84,26 +81,29 @@ class ShardedSpMM:
         grid=None,
         config: Optional[SMaTConfig] = None,
         *,
-        mode: str = "nnz",
+        mode: Optional[str] = None,
         policy: Optional[ExecutionPolicy] = None,
-        tune: Optional[bool] = None,
         tuner=None,
         tuning_cache=None,
         engine: Optional[SpMMEngine] = None,
-        max_workers: Optional[int] = None,
         n_cols: int = 8,
     ):
         if not isinstance(A, CSRMatrix):
             raise TypeError("ShardedSpMM expects a repro.formats.CSRMatrix input")
-        if mode not in PARTITION_MODES:
+        if mode is not None and mode not in PARTITION_MODES:
             raise ValueError(f"unknown partition mode {mode!r}; use one of {PARTITION_MODES}")
-        has_policy = policy is not None
-        policy = policy_from_legacy(
-            policy, where="ShardedSpMM", tune=tune, max_workers=max_workers
-        )
+        if engine is not None and (
+            policy is not None or tuner is not None or tuning_cache is not None
+        ):
+            raise ValueError(
+                "pass execution/tuning options (policy, tuner, tuning_cache) "
+                "to the engine itself when providing one"
+            )
+        if policy is None:
+            policy = ExecutionPolicy()
         self.A = A
         self.grid: Tuple[int, int] = parse_grid(grid if grid is not None else policy.grid)
-        self.mode = mode
+        self.mode = mode if mode is not None else policy.shard_mode
         self.n_cols = int(n_cols)
         self.config = (config or SMaTConfig()).validate()
         self._owns_engine = engine is None
@@ -116,17 +116,6 @@ class ShardedSpMM:
                 cache_size=max(8, 2 * n_shards + 1),
                 tuner=tuner,
                 tuning_cache=tuning_cache,
-            )
-        elif (
-            has_policy
-            or tune
-            or max_workers is not None
-            or tuner is not None
-            or tuning_cache is not None
-        ):
-            raise ValueError(
-                "pass execution/tuning options (policy, tune, max_workers, tuner, "
-                "tuning_cache) to the engine itself when providing one"
             )
         self.engine = engine
         self._partition: Optional[Partition] = None

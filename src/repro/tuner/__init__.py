@@ -16,8 +16,8 @@ This package turns those ablations into a self-optimising subsystem:
   whose winner is never worse than the paper's default, and
 * :class:`~repro.tuner.cache.TuningCache` persists winners on disk keyed
   by matrix fingerprint, so ``SMaTConfig(reorder="auto")`` and
-  ``SpMMEngine(tune=True)`` pay the search once per matrix across
-  processes and engine instances.
+  ``SpMMEngine(policy=ExecutionPolicy(tune=True))`` pay the search once
+  per matrix across processes and engine instances.
 
 Quick start
 -----------

@@ -24,8 +24,9 @@ triple:
 The paper's default configuration is always measured, so the winner is
 *never worse than the default* in the selection metric.  Results persist
 in a :class:`~repro.tuner.cache.TuningCache`, which is how
-``SMaTConfig(reorder="auto")`` and ``SpMMEngine(tune=True)`` amortise the
-search across processes.
+``SMaTConfig(reorder="auto")`` and
+``SpMMEngine(policy=ExecutionPolicy(tune=True))`` amortise the search
+across processes.
 """
 
 from __future__ import annotations

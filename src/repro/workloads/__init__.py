@@ -21,8 +21,9 @@ step:
   (:mod:`~repro.workloads.base`).
 
 Every workload accepts ``engine=`` (share a serving engine and its plan
-cache), ``tune=True`` (plans built through the auto-tuner) and
-``sharded=True`` / ``grid=`` (scatter-gather over per-shard plans).
+cache) or ``policy=ExecutionPolicy(...)`` for its private engine:
+``tune=True`` (plans built through the auto-tuner) and ``sharded=True`` /
+``grid=`` (scatter-gather over per-shard plans).
 
 Quick start
 -----------

@@ -22,7 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..core.config import SMaTConfig
-from ..core.policy import ExecutionPolicy, policy_from_legacy
+from ..core.policy import ExecutionPolicy
 from ..engine import SpMMEngine
 from ..formats import CSRMatrix
 
@@ -162,10 +162,10 @@ class SpMMOperator:
 
     The operator is the workload-facing view of the serving stack: it
     creates (or borrows) an :class:`~repro.engine.SpMMEngine`, routes
-    every :meth:`matmul` through the engine's plan cache -- or through
-    :meth:`~repro.engine.SpMMEngine.multiply_sharded` when ``sharded``
-    is set -- and records the wall time and cache-counter deltas of each
-    call into a :class:`WorkloadReport`.
+    every :meth:`matmul` through :meth:`~repro.engine.SpMMEngine.multiply`
+    -- the plan cache, or the sharded subsystem when the engine's policy
+    is ``sharded`` -- and records the wall time and cache-counter deltas
+    of each call into a :class:`WorkloadReport`.
 
     Parameters
     ----------
@@ -174,9 +174,9 @@ class SpMMOperator:
     engine:
         Run through an existing engine (sharing its plan cache, tuner
         and worker pool).  When ``None`` the operator owns a private
-        engine and closes it on :meth:`close`; tuning knobs then apply
-        to that engine (passing ``tune=True`` alongside a borrowed
-        engine raises, mirroring :class:`~repro.shard.ShardedSpMM`).
+        engine and closes it on :meth:`close`; ``policy`` then applies
+        to that engine (passing ``policy`` alongside a borrowed engine
+        raises, mirroring :class:`~repro.shard.ShardedSpMM`).
     config:
         Pipeline configuration for the plan (default engine config).
     kernel:
@@ -187,11 +187,6 @@ class SpMMOperator:
         :class:`~repro.core.policy.ExecutionPolicy` of the owned engine
         -- pool width, tuning, sharded routing (``sharded``/``grid``/
         ``shard_mode``) and the thread-vs-process executor choice.
-    tune, sharded, grid, mode, max_workers:
-        **Deprecated** spellings of the matching policy fields (``mode``
-        maps to ``shard_mode``); passing any of them without ``policy=``
-        builds the equivalent policy and emits one
-        :class:`DeprecationWarning`.
     """
 
     def __init__(
@@ -202,24 +197,13 @@ class SpMMOperator:
         config: Optional[SMaTConfig] = None,
         kernel: Optional[str] = None,
         policy: Optional[ExecutionPolicy] = None,
-        tune: Optional[bool] = None,
-        sharded: Optional[bool] = None,
-        grid=None,
-        mode: Optional[str] = None,
-        max_workers: Optional[int] = None,
     ):
         if not isinstance(A, CSRMatrix):
             raise TypeError("SpMMOperator expects a repro.formats.CSRMatrix input")
-        has_policy = policy is not None
-        policy = policy_from_legacy(
-            policy,
-            where="SpMMOperator",
-            tune=tune,
-            sharded=sharded,
-            grid=grid,
-            mode=mode,
-            max_workers=max_workers,
-        )
+        if engine is not None and policy is not None:
+            raise ValueError(
+                "pass execution options (policy) to the engine itself when providing one"
+            )
         self.A = A
         if kernel is not None:
             # override only the backend, inheriting every other knob from
@@ -227,26 +211,11 @@ class SpMMOperator:
             base = config if config is not None else (engine.config if engine else SMaTConfig())
             config = replace(base, kernel=kernel).validate()
         self.config = config
-        self.policy = policy
-        self.sharded = bool(policy.sharded)
-        self.grid = policy.grid
-        self.mode = policy.shard_mode
         self._owns_engine = engine is None
         if engine is None:
-            # the operator routes sharded multiplies itself, so the owned
-            # engine gets a non-sharded copy of the policy (no double
-            # routing through SpMMEngine.multiply)
-            engine = SpMMEngine(
-                config,
-                policy=policy.replace(sharded=False),
-                cache_size=16,
-            )
-        elif has_policy or tune:
-            raise ValueError(
-                "pass execution options (policy, tune) to the engine itself "
-                "when providing one"
-            )
+            engine = SpMMEngine(config, policy=policy, cache_size=16)
         self.engine = engine
+        self.sharded = bool(engine.policy.sharded)
         self.tuned = engine.tuner is not None
         self.kernel = (self.config or engine.config).resolved_kernel()
 
@@ -271,12 +240,7 @@ class SpMMOperator:
         """
         before = self.engine.cache_stats
         start = time.perf_counter()
-        if self.sharded:
-            C = self.engine.multiply_sharded(
-                self.A, B, grid=self.grid, mode=self.mode, config=self.config
-            )
-        else:
-            C = self.engine.multiply(self.A, B, config=self.config)
+        C = self.engine.multiply(self.A, B, config=self.config)
         wall_ms = 1e3 * (time.perf_counter() - start)
         if report is not None:
             after = self.engine.cache_stats

@@ -49,11 +49,6 @@ def gcn_forward(
     config=None,
     kernel: Optional[str] = None,
     policy=None,
-    tune: Optional[bool] = None,
-    sharded: Optional[bool] = None,
-    grid=None,
-    mode: Optional[str] = None,
-    max_workers: Optional[int] = None,
 ) -> GCNResult:
     """Run a ``len(weights)``-layer GCN forward pass.
 
@@ -67,9 +62,7 @@ def gcn_forward(
     ``activation`` is ``"relu"``, ``"tanh"`` or ``"none"``, applied after
     every layer except the last (enable ``final_activation`` to include
     it).  ``policy=`` / ``engine=`` pass through to the serving stack
-    exactly as in :func:`~repro.workloads.pagerank` (the ``tune``/
-    ``sharded``/``grid``/``mode``/``max_workers`` keywords are
-    **deprecated** spellings of the policy fields).
+    exactly as in :func:`~repro.workloads.pagerank`.
     """
     activations = {
         "relu": lambda X: np.maximum(X, 0.0),
@@ -95,11 +88,6 @@ def gcn_forward(
         config=config,
         kernel=kernel,
         policy=policy,
-        tune=tune,
-        sharded=sharded,
-        grid=grid,
-        mode=mode,
-        max_workers=max_workers,
     ) as op:
         report = op.new_report("gcn")
         report.setup_ms = setup_ms

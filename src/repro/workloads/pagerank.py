@@ -91,11 +91,6 @@ def pagerank(
     config=None,
     kernel: Optional[str] = None,
     policy=None,
-    tune: Optional[bool] = None,
-    sharded: Optional[bool] = None,
-    grid=None,
-    mode: Optional[str] = None,
-    max_workers: Optional[int] = None,
 ) -> PageRankResult:
     """PageRank of the graph with adjacency matrix ``A``.
 
@@ -115,9 +110,7 @@ def pagerank(
     The SpMM runs on an :class:`~repro.engine.SpMMEngine` (pass
     ``engine`` to share one, or the operator owns a private one).  Pass
     ``policy=ExecutionPolicy(...)`` to pick the executor, tuning and
-    sharded routing; the ``tune``/``sharded``/``grid``/``mode``/
-    ``max_workers`` keywords are **deprecated** spellings of the same
-    policy fields.
+    sharded routing.
     """
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must be in (0, 1), got {damping!r}")
@@ -148,11 +141,6 @@ def pagerank(
         config=config,
         kernel=kernel,
         policy=policy,
-        tune=tune,
-        sharded=sharded,
-        grid=grid,
-        mode=mode,
-        max_workers=max_workers,
     ) as op:
         report = op.new_report("pagerank", tol=tol)
         report.setup_ms = setup_ms
@@ -183,11 +171,6 @@ def power_iteration(
     config=None,
     kernel: Optional[str] = None,
     policy=None,
-    tune: Optional[bool] = None,
-    sharded: Optional[bool] = None,
-    grid=None,
-    mode: Optional[str] = None,
-    max_workers: Optional[int] = None,
 ) -> PowerIterationResult:
     """Dominant eigenpair of a square matrix ``A`` by power iteration.
 
@@ -217,11 +200,6 @@ def power_iteration(
         config=config,
         kernel=kernel,
         policy=policy,
-        tune=tune,
-        sharded=sharded,
-        grid=grid,
-        mode=mode,
-        max_workers=max_workers,
     ) as op:
         report = op.new_report("power_iteration", tol=tol)
         for _ in range(max_iter):

@@ -103,11 +103,6 @@ def jacobi_smoother(
     config=None,
     kernel: Optional[str] = None,
     policy=None,
-    tune: Optional[bool] = None,
-    sharded: Optional[bool] = None,
-    grid=None,
-    mode: Optional[str] = None,
-    max_workers: Optional[int] = None,
 ) -> SmootherResult:
     """Weighted Jacobi relaxation ``x <- x + omega D^-1 (b - A x)``.
 
@@ -130,11 +125,6 @@ def jacobi_smoother(
         config=config,
         kernel=kernel,
         policy=policy,
-        tune=tune,
-        sharded=sharded,
-        grid=grid,
-        mode=mode,
-        max_workers=max_workers,
     ) as op:
         report = op.new_report("jacobi", tol=tol)
         for _ in range(max_iter):
@@ -162,11 +152,6 @@ def chebyshev_smoother(
     config=None,
     kernel: Optional[str] = None,
     policy=None,
-    tune: Optional[bool] = None,
-    sharded: Optional[bool] = None,
-    grid=None,
-    mode: Optional[str] = None,
-    max_workers: Optional[int] = None,
 ) -> SmootherResult:
     """Chebyshev polynomial smoother for SPD-like systems ``A x = b``.
 
@@ -194,11 +179,6 @@ def chebyshev_smoother(
         config=config,
         kernel=kernel,
         policy=policy,
-        tune=tune,
-        sharded=sharded,
-        grid=grid,
-        mode=mode,
-        max_workers=max_workers,
     ) as op:
         report = op.new_report("chebyshev", tol=tol)
         Ax = op.matmul(x.astype(np.float32), report).astype(np.float64).reshape(b.shape)

@@ -12,7 +12,7 @@ workload pass-through, and the strict ``get_kernel`` argument check.
 import numpy as np
 import pytest
 
-from repro.core import SMaTConfig, compare_libraries
+from repro.core import ExecutionPolicy, SMaTConfig, compare_libraries
 from repro.core.plan import ExecutionPlan, config_signature, plan_key
 from repro.engine import SpMMEngine
 from repro.formats import COOMatrix
@@ -129,7 +129,7 @@ class TestEngineBackends:
         """Acceptance: plans for two backends of one matrix do not evict
         each other by key collision."""
         A, B = problem
-        with SpMMEngine(cache_size=4, max_workers=1) as engine:
+        with SpMMEngine(cache_size=4, policy=ExecutionPolicy(max_workers=1)) as engine:
             C1 = engine.multiply(A, B, config=SMaTConfig(kernel="smat"))
             C2 = engine.multiply(A, B, config=SMaTConfig(kernel="cublas"))
             stats = engine.cache_stats
@@ -142,7 +142,7 @@ class TestEngineBackends:
 
     def test_unsupported_backend_falls_back_to_smat(self, problem, tiny_arch):
         A, B = problem
-        with SpMMEngine(cache_size=4, max_workers=1) as engine:
+        with SpMMEngine(cache_size=4, policy=ExecutionPolicy(max_workers=1)) as engine:
             C, report = engine.multiply(
                 A, B, config=SMaTConfig(kernel="magicube", arch=tiny_arch), return_report=True
             )
@@ -162,7 +162,7 @@ class TestEngineBackends:
         A, B = problem
         from repro.engine import BatchItem
 
-        with SpMMEngine(cache_size=8, max_workers=2) as engine:
+        with SpMMEngine(cache_size=8, policy=ExecutionPolicy(max_workers=2)) as engine:
             outcome = engine.multiply_batch(
                 [BatchItem(A, B, config=SMaTConfig(kernel=b)) for b in ("smat", "cusparse", "dasp")]
             )
@@ -278,7 +278,9 @@ class TestTunerBackendAxis:
         A = band_matrix(768, 700, rng=rng)
         B = rng.normal(size=(768, 8)).astype(np.float32)
         with SpMMEngine(
-            SMaTConfig(kernel="auto"), tune=True, tuning_cache=tmp_path / "tc.json"
+            SMaTConfig(kernel="auto"),
+            policy=ExecutionPolicy(tune=True),
+            tuning_cache=tmp_path / "tc.json",
         ) as engine:
             C, report = engine.multiply(A, B, return_report=True)
             assert report.backend != "smat"
@@ -295,7 +297,7 @@ class TestComparisonOnEngine:
 
     def test_shared_engine_caches_all_libraries(self, problem):
         A, B = problem
-        with SpMMEngine(cache_size=16, max_workers=1) as engine:
+        with SpMMEngine(cache_size=16, policy=ExecutionPolicy(max_workers=1)) as engine:
             compare_libraries(A, B, libraries=("smat", "cusparse", "cublas"), engine=engine)
             warm = compare_libraries(
                 A, B, libraries=("smat", "cusparse", "cublas"), engine=engine
@@ -315,7 +317,9 @@ class TestComparisonOnEngine:
     def test_auto_pseudo_library_row(self, rng):
         A = band_matrix(768, 700, rng=rng)
         B = rng.normal(size=(768, 8)).astype(np.float32)
-        with SpMMEngine(SMaTConfig(), tune=True, tuning_cache=False) as engine:
+        with SpMMEngine(
+            SMaTConfig(), policy=ExecutionPolicy(tune=True), tuning_cache=False
+        ) as engine:
             (row,) = compare_libraries(A, B, libraries=["auto"], engine=engine)
         assert row.supported and row.correct
         assert row.library.startswith("auto(")
@@ -334,10 +338,9 @@ class TestShardedHeterogeneousBackends:
         B = rng.normal(size=(A.ncols, 8)).astype(np.float32)
         with SpMMEngine(
             SMaTConfig(kernel="auto"),
-            tune=True,
+            policy=ExecutionPolicy(tune=True, max_workers=2),
             tuning_cache=tmp_path / "tc.json",
             cache_size=32,
-            max_workers=2,
         ) as engine:
             C, report = engine.multiply_sharded(A, B, grid=2, return_report=True)
         np.testing.assert_allclose(C, A.spmm(B), atol=1e-2)
@@ -352,7 +355,7 @@ class TestShardedHeterogeneousBackends:
         A = uniform_random(512, 512, density=0.02, rng=rng)
         B = rng.normal(size=(512, 8)).astype(np.float32)
         config = SMaTConfig(kernel="magicube", arch=tiny_arch)
-        with SpMMEngine(config, cache_size=16, max_workers=1) as engine:
+        with SpMMEngine(config, cache_size=16, policy=ExecutionPolicy(max_workers=1)) as engine:
             C, report = engine.multiply_sharded(A, B, grid=2, return_report=True)
             partition = engine.partition_for(A, 2, config=config)
             entries = engine.shard_plans_for(partition, config)

@@ -4,7 +4,7 @@ and the shared execution plans (core.plan)."""
 import numpy as np
 import pytest
 
-from repro import SMaT, SMaTConfig
+from repro import ExecutionPolicy, SMaT, SMaTConfig
 from repro.core.plan import ExecutionPlan, config_signature, matrix_fingerprint, plan_key
 from repro.engine import BatchItem, BatchSummary, PlanCache, SpMMEngine
 from repro.matrices import band_matrix, hidden_cluster_matrix, uniform_random
@@ -31,7 +31,7 @@ def B(clustered, rng):
 
 @pytest.fixture
 def engine():
-    with SpMMEngine(cache_size=4, max_workers=2) as eng:
+    with SpMMEngine(cache_size=4, policy=ExecutionPolicy(max_workers=2)) as eng:
         yield eng
 
 
@@ -245,7 +245,7 @@ class TestEngineBatching:
 
     def test_multi_worker_pool(self, clustered, rng):
         Bs = [rng.normal(size=(clustered.ncols, 4)).astype(np.float32) for _ in range(8)]
-        with SpMMEngine(cache_size=2, max_workers=4) as eng:
+        with SpMMEngine(cache_size=2, policy=ExecutionPolicy(max_workers=4)) as eng:
             outcome = eng.multiply_many(clustered, Bs)
             smat = SMaT(clustered)
             for result, B in zip(outcome, Bs):
@@ -304,7 +304,7 @@ class TestEngineCacheBehaviour:
             for seed in range(3)
         ]
         B = rng.normal(size=(64, 2)).astype(np.float32)
-        with SpMMEngine(cache_size=2, max_workers=1) as eng:
+        with SpMMEngine(cache_size=2, policy=ExecutionPolicy(max_workers=1)) as eng:
             for A in mats:
                 eng.multiply(A, B)
             assert eng.cache_stats.evictions == 1
@@ -361,7 +361,7 @@ class TestAsyncAPI:
             list(engine.stream(clustered, [B], window=0))
 
     def test_closed_engine_rejects_work(self, clustered, B):
-        eng = SpMMEngine(max_workers=1)
+        eng = SpMMEngine(policy=ExecutionPolicy(max_workers=1))
         eng.close()
         with pytest.raises(RuntimeError):
             eng.submit(clustered, B)
@@ -389,7 +389,7 @@ class TestAsyncAPI:
 class TestEngineValidation:
     def test_worker_count_validation(self):
         with pytest.raises(ValueError):
-            SpMMEngine(max_workers=0)
+            SpMMEngine(policy=ExecutionPolicy(max_workers=0))
 
     def test_plan_for_returns_shared_instance(self, engine, clustered):
         p1 = engine.plan_for(clustered)
@@ -427,7 +427,7 @@ class TestEngineTelemetry:
         assert engine.telemetry().completed >= 3
 
     def test_latency_window_bounds_percentiles(self, clustered, B):
-        with SpMMEngine(max_workers=1, latency_window=2) as eng:
+        with SpMMEngine(policy=ExecutionPolicy(max_workers=1, latency_window=2)) as eng:
             for _ in range(5):
                 eng.execute_one(clustered, B)
             snap = eng.telemetry()
@@ -436,4 +436,4 @@ class TestEngineTelemetry:
 
     def test_latency_window_validation(self):
         with pytest.raises(ValueError):
-            SpMMEngine(latency_window=0)
+            SpMMEngine(policy=ExecutionPolicy(latency_window=0))

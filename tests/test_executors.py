@@ -13,10 +13,13 @@ report its counters through engine telemetry and the serving
 import json
 import os
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro import SMaT, SMaTConfig, ShardedSpMM
 from repro.core.policy import ExecutionPolicy
 from repro.engine import SpMMEngine
@@ -33,6 +36,22 @@ from repro.serve import SpMMClient, SpMMServer
 
 PROCESS = ExecutionPolicy(executor="process", max_workers=2)
 THREAD = ExecutionPolicy(executor="thread", max_workers=2)
+
+#: two process pools one after the other in one interpreter
+BACK_TO_BACK_POOLS = """
+import numpy as np
+from repro.core.policy import ExecutionPolicy
+from repro.matrices import suitesparse
+from repro.shard import ShardedSpMM
+
+A = suitesparse.load("cant", scale=0.05, use_cache=False)
+policy = ExecutionPolicy(executor="process", max_workers=2)
+for n in (4, 8):
+    B = np.ones((A.ncols, n), dtype=np.float32)
+    with ShardedSpMM(A, 2, policy=policy) as sharded:
+        for _ in range(3):
+            sharded.multiply(B)
+"""
 
 
 def _operand(A, n=8, seed=0):
@@ -169,6 +188,21 @@ class TestLeakHygiene:
         sharded.close()
         sharded.close()
         assert leaked_segments() == []
+
+    def test_back_to_back_pools_write_nothing_to_stderr(self):
+        # the resource tracker reports a double unregister on stderr, which
+        # leaked_segments() cannot see: run two pools in a fresh interpreter
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", BACK_TO_BACK_POOLS],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
 
 class TestPlacement:

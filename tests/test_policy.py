@@ -1,4 +1,4 @@
-"""ExecutionPolicy: validation, env resolution, and the deprecation shim."""
+"""ExecutionPolicy: validation, env resolution, and the surfaces that take it."""
 
 import pickle
 import warnings
@@ -13,12 +13,18 @@ from repro.core.policy import (
     ExecutionPolicy,
     OnlineTuningConfig,
     default_executor,
-    policy_from_legacy,
 )
 from repro.engine import SpMMEngine
 from repro.serve import SpMMServer
 from repro.shard import ShardedSpMM
-from repro.workloads import SpMMOperator
+from repro.workloads import (
+    SpMMOperator,
+    chebyshev_smoother,
+    gcn_forward,
+    jacobi_smoother,
+    pagerank,
+    power_iteration,
+)
 
 
 def _operand(A, n=8, seed=0):
@@ -106,58 +112,55 @@ class TestEnvResolution:
         assert policy.resolved_executor() == "process"
 
 
-class TestLegacyShim:
-    def test_nothing_legacy_returns_policy_or_default(self):
-        policy = ExecutionPolicy(max_workers=2)
-        assert policy_from_legacy(policy, where="X") is policy
-        assert policy_from_legacy(None, where="X") == ExecutionPolicy()
-        base = ExecutionPolicy(tune=True)
-        assert policy_from_legacy(None, where="X", base=base) is base
-
-    def test_legacy_kwargs_build_policy_with_one_warning(self):
-        with pytest.warns(DeprecationWarning, match="policy=ExecutionPolicy") as rec:
-            policy = policy_from_legacy(
-                None, where="X", max_workers=2, tune=True, mode="cost"
+class TestDeprecationGuard:
+    def test_deprecation_warning_from_repro_fails_the_suite(self):
+        # pyproject's filterwarnings turns repro's own DeprecationWarnings
+        # into errors, so a deprecated spelling cannot return silently
+        with pytest.raises(DeprecationWarning):
+            warnings.warn_explicit(
+                "deprecated", DeprecationWarning, "policy.py", 1, module="repro.core.policy"
             )
-        assert len(rec) == 1
-        assert policy == ExecutionPolicy(max_workers=2, tune=True, shard_mode="cost")
-
-    def test_both_policy_and_legacy_raises(self):
-        with pytest.raises(TypeError, match="not both"):
-            policy_from_legacy(ExecutionPolicy(), where="X", tune=True)
-
-    def test_none_sentinels_are_not_legacy(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            policy_from_legacy(None, where="X", tune=None, max_workers=None)
 
 
 class TestSurfaceShims:
-    """Every surface accepts policy= and keeps legacy kwargs via the shim."""
+    """Every surface reads its execution options from policy= only."""
 
-    def test_engine_legacy_kwargs_warn_and_match_policy(self, medium_random):
+    def test_engine_policy_sets_pool_width(self, medium_random):
         B = _operand(medium_random)
-        with pytest.warns(DeprecationWarning, match="SpMMEngine"):
-            legacy = SpMMEngine(max_workers=2, latency_window=64)
-        new = SpMMEngine(policy=ExecutionPolicy(max_workers=2, latency_window=64))
-        try:
-            assert legacy.max_workers == new.max_workers == 2
-            assert legacy.policy == new.policy
-            C1 = legacy.execute_one(medium_random, B).C
-            C2 = new.execute_one(medium_random, B).C
-            np.testing.assert_array_equal(C1, C2)
-            # identical telemetry shape/counters after identical work
-            t1, t2 = legacy.telemetry(), new.telemetry()
-            assert t1.completed == t2.completed == 1
-            assert t1.executor.kind == t2.executor.kind
-            assert t1.executor.workers == t2.executor.workers == 2
-        finally:
-            legacy.close()
-            new.close()
+        policy = ExecutionPolicy(max_workers=2, latency_window=64)
+        with SpMMEngine(policy=policy) as engine:
+            assert engine.policy == policy
+            assert engine.max_workers == 2
+            C = engine.execute_one(medium_random, B).C
+            telemetry = engine.telemetry()
+        np.testing.assert_allclose(C, medium_random.spmm(B), rtol=1e-3, atol=1e-3)
+        assert telemetry.completed == 1
+        assert telemetry.executor.workers == 2
 
     def test_engine_rejects_policy_plus_legacy(self):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             SpMMEngine(policy=ExecutionPolicy(), max_workers=2)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda A, b: SpMMEngine(tune=True), id="SpMMEngine"),
+            pytest.param(lambda A, b: ShardedSpMM(A, 2, max_workers=2), id="ShardedSpMM"),
+            pytest.param(lambda A, b: SpMMServer(tune=True), id="SpMMServer"),
+            pytest.param(lambda A, b: SpMMOperator(A, mode="cost"), id="SpMMOperator"),
+            pytest.param(lambda A, b: pagerank(A, sharded=True), id="pagerank"),
+            pytest.param(lambda A, b: power_iteration(A, grid=2), id="power_iteration"),
+            pytest.param(lambda A, b: jacobi_smoother(A, b, tune=True), id="jacobi_smoother"),
+            pytest.param(
+                lambda A, b: chebyshev_smoother(A, b, max_workers=2), id="chebyshev_smoother"
+            ),
+            pytest.param(lambda A, b: gcn_forward(A, b, [], sharded=True), id="gcn_forward"),
+        ],
+    )
+    def test_removed_legacy_kwargs_raise_type_error(self, medium_random, call):
+        b = np.ones((medium_random.nrows, 1), dtype=np.float32)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            call(medium_random, b)
 
     def test_engine_policy_sharded_routes_multiply(self, medium_random):
         B = _operand(medium_random)
@@ -166,19 +169,6 @@ class TestSurfaceShims:
         ) as engine:
             C = engine.multiply(medium_random, B)
         np.testing.assert_allclose(C, medium_random.spmm(B), rtol=1e-3, atol=1e-3)
-
-    def test_sharded_facade_old_vs_new_identical_plans(self, medium_random):
-        B = _operand(medium_random)
-        with pytest.warns(DeprecationWarning, match="ShardedSpMM"):
-            with ShardedSpMM(medium_random, 2, max_workers=2) as legacy:
-                C1, report1 = legacy.multiply(B, return_report=True)
-        with ShardedSpMM(
-            medium_random, 2, policy=ExecutionPolicy(max_workers=2)
-        ) as new:
-            C2, report2 = new.multiply(B, return_report=True)
-        np.testing.assert_array_equal(C1, C2)
-        assert [s.config for s in report1.shards] == [s.config for s in report2.shards]
-        assert report1.grid == report2.grid
 
     def test_sharded_facade_grid_from_policy(self, medium_random):
         with ShardedSpMM(
@@ -193,31 +183,24 @@ class TestSurfaceShims:
                     medium_random, 2, engine=engine, policy=ExecutionPolicy()
                 )
 
-    def test_operator_legacy_warns_and_matches_policy(self, medium_random):
+    def test_operator_policy_routes_sharded(self, medium_random):
         B = _operand(medium_random)
-        with pytest.warns(DeprecationWarning, match="SpMMOperator"):
-            with SpMMOperator(medium_random, sharded=True, grid="2x2") as legacy:
-                C1 = legacy.matmul(B)
-        with SpMMOperator(
-            medium_random, policy=ExecutionPolicy(sharded=True, grid="2x2")
-        ) as new:
-            assert new.sharded and new.grid == "2x2"
-            C2 = new.matmul(B)
-        np.testing.assert_array_equal(C1, C2)
+        with SpMMOperator(medium_random, policy=ExecutionPolicy(sharded=True, grid="2x2")) as op:
+            assert op.sharded
+            C = op.matmul(B)
+            shards = op.engine.telemetry().executor.shards_executed
+        np.testing.assert_allclose(C, medium_random.spmm(B), rtol=1e-3, atol=1e-3)
+        assert shards == 4
 
     def test_operator_rejects_policy_with_shared_engine(self, medium_random):
         with SpMMEngine() as engine:
             with pytest.raises(ValueError, match="engine"):
                 SpMMOperator(medium_random, engine=engine, policy=ExecutionPolicy())
 
-    def test_server_legacy_warns_and_matches_policy(self):
-        with pytest.warns(DeprecationWarning, match="SpMMServer"):
-            with SpMMServer(max_workers=2) as legacy:
-                legacy_workers = legacy.engine.max_workers
-                legacy_admission = legacy.admission.max_inflight
-        with SpMMServer(policy=ExecutionPolicy(max_workers=2)) as new:
-            assert new.engine.max_workers == legacy_workers == 2
-            assert new.admission.max_inflight == legacy_admission == 2
+    def test_server_policy_sets_workers_and_admission(self):
+        with SpMMServer(policy=ExecutionPolicy(max_workers=2)) as server:
+            assert server.engine.max_workers == 2
+            assert server.admission.max_inflight == 2
 
     def test_server_rejects_policy_with_shared_engine(self):
         with SpMMEngine() as engine:

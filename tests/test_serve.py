@@ -17,7 +17,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro import SMaT, SMaTConfig
+from repro import ExecutionPolicy, SMaT, SMaTConfig
 from repro.core.plan import matrix_fingerprint
 from repro.matrices import band_matrix
 from repro.serve import (
@@ -57,7 +57,7 @@ def B(A):
 
 @pytest.fixture(scope="module")
 def open_server():
-    with SpMMServer(max_workers=2) as server:
+    with SpMMServer(policy=ExecutionPolicy(max_workers=2)) as server:
         yield server
 
 
@@ -301,7 +301,7 @@ class TestErrorPaths:
         assert err.value.code == 400
 
     def test_oversized_payload_is_413(self, A):
-        with SpMMServer(max_workers=1, max_body_bytes=1024) as server:
+        with SpMMServer(policy=ExecutionPolicy(max_workers=1), max_body_bytes=1024) as server:
             with pytest.raises(ServeClientError) as err:
                 SpMMClient(server.url).register(A)
             assert err.value.status == 413
@@ -317,7 +317,7 @@ class TestAuthOverHTTP:
     TOKENS = {"sekret": Tenant("alice", max_matrices=1, max_plans=1), "hunter2": "bob"}
 
     def test_missing_or_bad_token_is_401(self, A):
-        with SpMMServer(max_workers=1, tokens=self.TOKENS) as server:
+        with SpMMServer(policy=ExecutionPolicy(max_workers=1), tokens=self.TOKENS) as server:
             anon = SpMMClient(server.url)
             anon.health()  # healthz stays open
             with pytest.raises(ServeClientError) as err:
@@ -328,7 +328,7 @@ class TestAuthOverHTTP:
             assert err.value.status == 401
 
     def test_registration_quota_429_with_retry_after(self, A):
-        with SpMMServer(max_workers=1, tokens=self.TOKENS) as server:
+        with SpMMServer(policy=ExecutionPolicy(max_workers=1), tokens=self.TOKENS) as server:
             alice = SpMMClient(server.url, token="sekret")
             alice.register(A)
             with pytest.raises(ServeClientError) as err:
@@ -337,7 +337,7 @@ class TestAuthOverHTTP:
             assert err.value.retry_after is not None and err.value.retry_after >= 1
 
     def test_plan_quota_429(self, A, B):
-        with SpMMServer(max_workers=1, tokens=self.TOKENS) as server:
+        with SpMMServer(policy=ExecutionPolicy(max_workers=1), tokens=self.TOKENS) as server:
             alice = SpMMClient(server.url, token="sekret")
             fp = alice.register(A)
             alice.multiply(fp, B)  # charges the single plan slot
@@ -347,7 +347,7 @@ class TestAuthOverHTTP:
             assert err.value.status == 429 and err.value.code == "quota_exceeded"
 
     def test_cross_tenant_isolation(self, A, B):
-        with SpMMServer(max_workers=1, tokens=self.TOKENS) as server:
+        with SpMMServer(policy=ExecutionPolicy(max_workers=1), tokens=self.TOKENS) as server:
             alice = SpMMClient(server.url, token="sekret")
             bob = SpMMClient(server.url, token="hunter2")
             fp = alice.register(A)
@@ -361,7 +361,7 @@ class TestAuthOverHTTP:
             assert server.registry.count() == 1
 
     def test_job_ids_do_not_leak_across_tenants(self, A, B):
-        with SpMMServer(max_workers=1, tokens=self.TOKENS) as server:
+        with SpMMServer(policy=ExecutionPolicy(max_workers=1), tokens=self.TOKENS) as server:
             alice = SpMMClient(server.url, token="sekret")
             bob = SpMMClient(server.url, token="hunter2")
             fp = alice.register(A)
@@ -375,7 +375,10 @@ class TestAuthOverHTTP:
 class TestOverload:
     def test_full_admission_queue_is_429_with_retry_after(self, A, B):
         with SpMMServer(
-            max_workers=1, max_inflight=1, max_queue=0, queue_timeout_s=0.05
+            policy=ExecutionPolicy(max_workers=1),
+            max_inflight=1,
+            max_queue=0,
+            queue_timeout_s=0.05,
         ) as server:
             client = SpMMClient(server.url)
             fp = client.register(A)
@@ -387,7 +390,7 @@ class TestOverload:
             client.multiply(fp, B)  # slot free again: admitted
 
     def test_job_backlog_bound_is_429(self, A, B):
-        with SpMMServer(max_workers=1, max_pending_jobs=0) as server:
+        with SpMMServer(policy=ExecutionPolicy(max_workers=1), max_pending_jobs=0) as server:
             client = SpMMClient(server.url)
             fp = client.register(A)
             with pytest.raises(ServeClientError) as err:
@@ -397,7 +400,7 @@ class TestOverload:
 
 class TestObservability:
     def test_metrics_counter_deltas(self, A, B):
-        with SpMMServer(max_workers=1) as server:
+        with SpMMServer(policy=ExecutionPolicy(max_workers=1)) as server:
             client = SpMMClient(server.url)
             before = client.metrics()
             fp = client.register(A)
@@ -428,7 +431,7 @@ class TestObservability:
 
     def test_rejections_are_counted_by_reason(self, A, B):
         tokens = {"t": Tenant("solo", max_matrices=1, max_plans=1)}
-        with SpMMServer(max_workers=1, tokens=tokens) as server:
+        with SpMMServer(policy=ExecutionPolicy(max_workers=1), tokens=tokens) as server:
             solo = SpMMClient(server.url, token="t")
             with pytest.raises(ServeClientError):
                 SpMMClient(server.url).register(A)  # 401
@@ -445,7 +448,7 @@ class TestObservability:
 
     def test_structured_request_log(self, A, B):
         log = io.StringIO()
-        with SpMMServer(max_workers=1, log_stream=log) as server:
+        with SpMMServer(policy=ExecutionPolicy(max_workers=1), log_stream=log) as server:
             client = SpMMClient(server.url)
             fp = client.register(A)
             client.multiply(fp, B)
@@ -463,7 +466,7 @@ class TestObservability:
 
 class TestLifecycle:
     def test_close_is_idempotent_and_closes_owned_engine(self):
-        server = SpMMServer(max_workers=1)
+        server = SpMMServer(policy=ExecutionPolicy(max_workers=1))
         server.start()
         server.close()
         server.close()
@@ -473,7 +476,7 @@ class TestLifecycle:
     def test_external_engine_is_not_closed(self, A, B):
         from repro.engine import SpMMEngine
 
-        with SpMMEngine(max_workers=1) as engine:
+        with SpMMEngine(policy=ExecutionPolicy(max_workers=1)) as engine:
             with SpMMServer(engine=engine) as server:
                 client = SpMMClient(server.url)
                 fp = client.register(A)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import SMaT, SMaTConfig, ShardedSpMM
+from repro import ExecutionPolicy, SMaT, SMaTConfig, ShardedSpMM
 from repro.engine import SpMMEngine
 from repro.matrices import block_band_matrix, suitesparse
 from repro.shard import ShardPlanner, execute_partition, make_partition
@@ -25,7 +25,7 @@ class TestCorrectnessOnTableI:
         A = suitesparse.load(name, scale=0.04)
         B = _operand(A)
         reference = SMaT(A, SMaTConfig()).multiply(B)
-        with ShardedSpMM(A, grid, max_workers=2) as sharded:
+        with ShardedSpMM(A, grid, policy=ExecutionPolicy(max_workers=2)) as sharded:
             C = sharded.multiply(B)
         np.testing.assert_allclose(C, reference, rtol=1e-3, atol=1e-3)
 
@@ -63,7 +63,7 @@ class TestFacade:
 
     def test_shared_engine_reuses_plans_and_stays_open(self, medium_random):
         B = _operand(medium_random)
-        with SpMMEngine(cache_size=32, max_workers=2) as engine:
+        with SpMMEngine(cache_size=32, policy=ExecutionPolicy(max_workers=2)) as engine:
             with ShardedSpMM(medium_random, 4, engine=engine) as first:
                 C1 = first.multiply(B)
             # closing the facade must not close a shared engine
@@ -75,7 +75,7 @@ class TestFacade:
     def test_rejects_tuning_knobs_with_shared_engine(self, medium_random):
         with SpMMEngine() as engine:
             with pytest.raises(ValueError, match="engine"):
-                ShardedSpMM(medium_random, 2, engine=engine, tune=True)
+                ShardedSpMM(medium_random, 2, engine=engine, policy=ExecutionPolicy(tune=True))
 
     def test_rejects_non_csr(self):
         with pytest.raises(TypeError):
@@ -83,8 +83,6 @@ class TestFacade:
 
     def test_failed_preprocess_closes_owned_engine(self, medium_random):
         import threading
-
-        from repro.core.policy import ExecutionPolicy
 
         class BoomTuner:
             def resolve(self, A, cfg):
@@ -106,6 +104,13 @@ class TestFacade:
             if t.name.startswith("spmm-engine") and t.name not in before
         ]
         assert not leaked
+
+    def test_mode_defaults_to_policy(self, medium_random):
+        policy = ExecutionPolicy(grid=2, shard_mode="cost")
+        with ShardedSpMM(medium_random, policy=policy) as sharded:
+            assert (sharded.grid, sharded.mode) == ((2, 1), "cost")
+            _, report = sharded.multiply(_operand(medium_random), return_report=True)
+        assert report.mode == "cost"
 
     def test_rejects_bad_mode(self, medium_random):
         with pytest.raises(ValueError, match="mode"):
@@ -159,7 +164,7 @@ class TestEngineIntegration:
 
     def test_single_worker_engine_runs_sequentially(self, medium_random):
         B = _operand(medium_random)
-        with SpMMEngine(max_workers=1, cache_size=32) as engine:
+        with SpMMEngine(policy=ExecutionPolicy(max_workers=1), cache_size=32) as engine:
             C = engine.multiply_sharded(medium_random, B, grid="2x2")
         np.testing.assert_allclose(C, medium_random.spmm(B), rtol=1e-3, atol=1e-3)
 
@@ -203,7 +208,9 @@ class TestPerShardTuning:
     def test_tuned_shards_match_and_may_diverge_in_config(self, medium_random):
         B = _operand(medium_random)
         tuner = Tuner(cache=False, max_measure=4)
-        with ShardedSpMM(medium_random, 2, tune=True, tuner=tuner) as sharded:
+        with ShardedSpMM(
+            medium_random, 2, policy=ExecutionPolicy(tune=True), tuner=tuner
+        ) as sharded:
             C, report = sharded.multiply(B, return_report=True)
         np.testing.assert_allclose(C, medium_random.spmm(B), rtol=1e-3, atol=1e-3)
         # every non-empty shard carries the config its own search chose

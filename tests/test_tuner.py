@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import SMaT, SMaTConfig
+from repro import ExecutionPolicy, SMaT, SMaTConfig
 from repro.core.plan import ExecutionPlan
 from repro.engine import SpMMEngine
 from repro.matrices import hidden_cluster_matrix
@@ -216,7 +216,7 @@ class TestEngineTuning:
         self, clustered, B, tmp_path, monkeypatch
     ):
         path = tmp_path / "shared.json"
-        with SpMMEngine(tune=True, tuning_cache=path) as first:
+        with SpMMEngine(policy=ExecutionPolicy(tune=True), tuning_cache=path) as first:
             first.multiply(clustered, B)
         assert len(TuningCache(path)) == 1
 
@@ -226,12 +226,14 @@ class TestEngineTuning:
             raise AssertionError("second engine must not re-tune")
 
         monkeypatch.setattr(Tuner, "tune", boom)
-        with SpMMEngine(tune=True, tuning_cache=path) as second:
+        with SpMMEngine(policy=ExecutionPolicy(tune=True), tuning_cache=path) as second:
             C = second.multiply(clustered, B)
         np.testing.assert_allclose(C, clustered.spmm(B), rtol=1e-2, atol=1e-2)
 
     def test_repeat_queries_resolve_once(self, clustered, B, tmp_path):
-        with SpMMEngine(tune=True, tuning_cache=tmp_path / "t.json") as engine:
+        with SpMMEngine(
+            policy=ExecutionPolicy(tune=True), tuning_cache=tmp_path / "t.json"
+        ) as engine:
             outcome = engine.multiply_many(clustered, [B] * 4)
         assert outcome.summary.cache.misses == 1  # one tuned plan build
         assert outcome.summary.cache.hits == 3

@@ -12,7 +12,7 @@ covered alongside.
 import numpy as np
 import pytest
 
-from repro.core import SMaTConfig
+from repro.core import ExecutionPolicy, SMaTConfig
 from repro.engine import SpMMEngine
 from repro.formats import CSRMatrix, gcn_normalize, transition_matrix
 from repro.matrices import band_matrix, hidden_cluster_matrix, scale_free_graph
@@ -268,7 +268,7 @@ class TestWorkloadTelemetry:
 class TestPassThrough:
     def test_shared_engine_reuses_plans_across_runs(self, rng):
         A = scale_free_graph(256, avg_degree=6.0, rng=rng)
-        with SpMMEngine(cache_size=8, max_workers=2) as engine:
+        with SpMMEngine(cache_size=8, policy=ExecutionPolicy(max_workers=2)) as engine:
             first = pagerank(A, tol=1e-12, max_iter=5, engine=engine)
             second = pagerank(A, tol=1e-12, max_iter=5, engine=engine)
             assert first.report.cache_misses == 1
@@ -282,12 +282,10 @@ class TestPassThrough:
         with SpMMEngine(
             SMaTConfig(),
             cache_size=32,
-            max_workers=2,
+            policy=ExecutionPolicy(max_workers=2, sharded=True, grid=2),
             tuning_cache=str(tmp_path / "tuning.json"),
         ) as engine:
-            sharded = pagerank(
-                A, tol=1e-10, max_iter=40, engine=engine, sharded=True, grid=2
-            )
+            sharded = pagerank(A, tol=1e-10, max_iter=40, engine=engine)
         assert sharded.report.sharded and sharded.report.tuned
         np.testing.assert_allclose(sharded.scores, plain.scores, rtol=1e-4, atol=1e-8)
 
@@ -296,14 +294,14 @@ class TestPassThrough:
         H = rng.normal(size=(256, 8)).astype(np.float32)
         weights = [rng.normal(scale=0.3, size=(8, 8)).astype(np.float32) for _ in range(2)]
         plain = gcn_forward(A, H, weights)
-        sharded = gcn_forward(A, H, weights, sharded=True, grid=2)
+        sharded = gcn_forward(A, H, weights, policy=ExecutionPolicy(sharded=True, grid=2))
         np.testing.assert_allclose(sharded.H, plain.H, rtol=1e-4, atol=1e-4)
 
     def test_operator_rejects_tune_with_borrowed_engine(self, rng):
         A = scale_free_graph(64, avg_degree=4.0, rng=rng)
         with SpMMEngine() as engine:
             with pytest.raises(ValueError, match="engine itself"):
-                SpMMOperator(A, engine=engine, tune=True)
+                SpMMOperator(A, engine=engine, policy=ExecutionPolicy(tune=True))
 
     def test_operator_owns_and_closes_private_engine(self, rng):
         A = scale_free_graph(64, avg_degree=4.0, rng=rng)
