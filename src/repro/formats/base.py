@@ -116,9 +116,9 @@ class SparseFormat(abc.ABC):
     * :meth:`to_dense` -- materialise a dense ``numpy.ndarray``,
     * :meth:`to_coo` / :meth:`from_coo` -- conversions through the COO
       interchange format,
-    * :meth:`spmm` -- a NumPy reference multiplication used for correctness
-      checks (kernel classes in :mod:`repro.kernels` implement the
-      simulated GPU execution).
+    * :meth:`spmm` -- the host (NumPy/scipy) product computed from the
+      format's own storage; the kernel classes in :mod:`repro.kernels`
+      return it as their result and add the simulated GPU execution.
     """
 
     #: short lowercase name of the format ("csr", "bcsr", ...)
@@ -172,10 +172,11 @@ class SparseFormat(abc.ABC):
     def to_coo(self):
         """Return an equivalent :class:`repro.formats.coo.COOMatrix`."""
 
-    # -- reference numerics -------------------------------------------------
+    # -- host numerics ------------------------------------------------------
     @abc.abstractmethod
     def spmm(self, B: np.ndarray) -> np.ndarray:
-        """Reference (NumPy) sparse @ dense product.
+        """Host (NumPy/scipy) sparse @ dense product, of dtype
+        ``np.result_type(A.dtype, B.dtype, np.float32)``.
 
         This is *functional* only -- GPU cost modelling lives in
         :mod:`repro.kernels`.

@@ -22,7 +22,7 @@ bounds of Eq. 2 are exposed via :meth:`block_count_bounds`.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -35,6 +35,16 @@ from .base import (
 )
 
 __all__ = ["BCSRMatrix"]
+
+#: stored blocks per chunk of :meth:`BCSRMatrix.spmm`.  It bounds the
+#: ``(chunk, h, N)`` product temporary.  Small chunks are also faster: the
+#: temporaries are still in cache when the block-row sum reads them, and
+#: they stay below the allocator's mmap threshold, so they do not
+#: page-fault on every call.  Measured with
+#: ``benchmarks/bench_host_kernels.py`` on a 2-core x86 box, SMaT's warm
+#: host execute over scipy (geomean) reads 2.4 at 512 blocks, 2.3-2.5 at
+#: 1024, and 2.8 at 2048 and unchunked.
+CHUNK_BLOCKS = 512
 
 
 def _check_block_shape(block_shape: Tuple[int, int]) -> Tuple[int, int]:
@@ -114,6 +124,7 @@ class BCSRMatrix(SparseFormat):
         if nnz_logical is None:
             nnz_logical = int(np.count_nonzero(self.blocks))
         self._nnz_logical = int(nnz_logical)
+        self._block_row_sums = None
 
     # -- construction -------------------------------------------------------------
     @classmethod
@@ -216,12 +227,12 @@ class BCSRMatrix(SparseFormat):
 
     def to_dense(self) -> np.ndarray:
         h, w = self.block_shape
-        Mp, Kp = self.n_block_rows * h, self.n_block_cols * w
-        out = np.zeros((Mp, Kp), dtype=self.dtype)
-        for I in range(self.n_block_rows):
-            for k in range(int(self.brow_ptr[I]), int(self.brow_ptr[I + 1])):
-                J = int(self.bcol[k])
-                out[I * h : (I + 1) * h, J * w : (J + 1) * w] = self.blocks[k]
+        out = np.zeros((self.n_block_rows * h, self.n_block_cols * w), dtype=self.dtype)
+        brow = np.repeat(np.arange(self.n_block_rows), np.diff(self.brow_ptr))
+        # one scatter of every block: on the (I, r, J, c) view, indexing
+        # [brow, :, bcol, :] addresses exactly the (n_blocks, h, w) tiles
+        tiles = out.reshape(self.n_block_rows, h, self.n_block_cols, w)
+        tiles[brow, :, self.bcol, :] = self.blocks
         return out[: self.nrows, : self.ncols]
 
     def to_coo(self):
@@ -243,11 +254,43 @@ class BCSRMatrix(SparseFormat):
 
         return CSRMatrix.from_coo(self.to_coo())
 
+    def block_row_sums(self) -> List[Tuple[int, int, int, int, object]]:
+        """The block-row reduction of :meth:`spmm`, as chunks of stored blocks.
+
+        The whole reduction is the 0/1 ``scipy.sparse.csr_matrix``
+        ``S`` of shape ``(n_block_rows, n_blocks)`` with
+        ``indptr=brow_ptr`` and ``indices=arange(n_blocks)``: row ``I``
+        adds up the products of the blocks ``brow_ptr[I]:brow_ptr[I+1]``.
+        For each chunk ``lo:hi`` of at most :data:`CHUNK_BLOCKS` blocks
+        this returns ``(lo, hi, first, last, S[first:last, lo:hi])``,
+        where ``first:last`` are the block rows the chunk overlaps.  Built
+        on the first call and reused by every later one; its values are
+        float32 ones, exact in every product dtype, so one operator serves
+        every dtype of ``B``.
+        """
+        if self._block_row_sums is None:
+            import scipy.sparse as sp
+
+            n = self.n_blocks
+            ones = np.ones(n, dtype=np.float32)
+            block_ids = np.arange(n, dtype=self.bcol.dtype)
+            S = sp.csr_matrix((ones, block_ids, self.brow_ptr), shape=(self.n_block_rows, n))
+            chunks = []
+            for lo in range(0, n, CHUNK_BLOCKS):
+                hi = min(lo + CHUNK_BLOCKS, n)
+                first = int(np.searchsorted(self.brow_ptr, lo, side="right")) - 1
+                last = int(np.searchsorted(self.brow_ptr, hi, side="left"))
+                chunks.append((lo, hi, first, last, S[first:last, lo:hi]))
+            self._block_row_sums = chunks
+        return self._block_row_sums
+
     def spmm(self, B: np.ndarray) -> np.ndarray:
-        """Reference block-wise SpMM: for each stored block ``A_IJ``,
-        ``C[I*h:(I+1)*h] += A_IJ @ B[J*w:(J+1)*w]``.  Mirrors the dataflow of
-        the SMaT kernel (one output tile per block row) but without cost
-        modelling."""
+        """Block-wise SpMM with the dataflow of the SMaT kernel: every
+        stored block ``A_IJ`` is multiplied by its B tile
+        ``B[J*w:(J+1)*w]`` in a batched ``matmul``, then
+        :meth:`block_row_sums` adds each block row's products into the
+        output tile ``C[I*h:(I+1)*h]``.  No cost modelling.  The result
+        dtype is ``np.result_type(A.dtype, B.dtype, np.float32)``."""
         B = check_dense_operand(B, self.ncols)
         h, w = self.block_shape
         N = B.shape[1]
@@ -255,34 +298,16 @@ class BCSRMatrix(SparseFormat):
         # pad B to a multiple of w rows so block slices are uniform
         Kp = self.n_block_cols * w
         if Kp != B.shape[0]:
-            Bp = np.zeros((Kp, N), dtype=B.dtype)
+            Bp = np.zeros((Kp, N), dtype=out_dtype)
             Bp[: B.shape[0]] = B
         else:
-            Bp = B
-        C = np.zeros((self.n_block_rows, h, N), dtype=out_dtype)
-        if self.n_blocks:
-            # batched block x B-tile products; blocks are stored in block-row
-            # order, so the per-block-row sums are contiguous segments and
-            # can be reduced with add.reduceat.  Work in bounded chunks of
-            # blocks to keep the (chunk, h, N) temporary small.
-            chunk = max(1, int(2**28 // max(1, h * N * 4)))
-            B_panels = Bp.reshape(self.n_block_cols, w, N)
-            ptr = self.brow_ptr.astype(np.int64)
-            for lo in range(0, self.n_blocks, chunk):
-                hi = min(lo + chunk, self.n_blocks)
-                B_tiles = B_panels[self.bcol[lo:hi]]
-                contrib = np.matmul(
-                    self.blocks[lo:hi].astype(out_dtype), B_tiles.astype(out_dtype)
-                )
-                # block rows overlapping [lo, hi)
-                first = int(np.searchsorted(ptr, lo, side="right") - 1)
-                last = int(np.searchsorted(ptr, hi, side="left"))
-                seg_ptr = np.clip(ptr[first:last], lo, hi) - lo
-                seg_rows = np.arange(first, last)
-                nonempty = np.diff(np.append(seg_ptr, hi - lo)) > 0
-                if nonempty.any():
-                    sums = np.add.reduceat(contrib, seg_ptr[nonempty], axis=0)
-                    np.add.at(C, seg_rows[nonempty], sums)
+            Bp = B.astype(out_dtype, copy=False)
+        B_panels = Bp.reshape(self.n_block_cols, w, N)
+        blocks = self.blocks.astype(out_dtype, copy=False)
+        C = np.zeros((self.n_block_rows, h * N), dtype=out_dtype)
+        for lo, hi, first, last, S in self.block_row_sums():
+            contrib = np.matmul(blocks[lo:hi], B_panels[self.bcol[lo:hi]])
+            C[first:last] += S @ contrib.reshape(hi - lo, h * N)
         return C.reshape(self.n_block_rows * h, N)[: self.nrows]
 
     # -- statistics ---------------------------------------------------------------------

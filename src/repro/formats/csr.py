@@ -100,6 +100,7 @@ class CSRMatrix(SparseFormat):
         self.rowptr = rowptr.astype(idx_dtype, copy=False)
         self.col = col.astype(idx_dtype, copy=False)
         self.val = val.astype(dtype, copy=False)
+        self._operator = None
         if check:
             self._sort_indices_inplace()
 
@@ -188,41 +189,31 @@ class CSRMatrix(SparseFormat):
 
         return BCSRMatrix.from_csr(self, block_shape)
 
+    def scipy_operator(self):
+        """The ``scipy.sparse.csr_matrix`` that :meth:`spmm` multiplies by.
+
+        It views this matrix's own ``(val, col, rowptr)`` arrays without
+        copying them.  Values narrower than float32 (float16, small
+        integers) are widened once, because scipy has no float16 kernels.
+        The operator is built on the first call and reused by every later
+        one; like :func:`matrix_fingerprint`, this treats the matrix
+        arrays as immutable once constructed.
+        """
+        if self._operator is None:
+            import scipy.sparse as sp
+
+            data = self.val.astype(np.result_type(self.dtype, np.float32), copy=False)
+            self._operator = sp.csr_matrix((data, self.col, self.rowptr), shape=self.shape)
+        return self._operator
+
     def spmm(self, B: np.ndarray) -> np.ndarray:
+        """``A @ B`` as one scipy CSR product over this matrix's own arrays
+        (see :meth:`scipy_operator`).  The result dtype is
+        ``np.result_type(A.dtype, B.dtype, np.float32)``."""
         B = check_dense_operand(B, self.ncols)
         out_dtype = np.result_type(self.dtype, B.dtype, np.float32)
-        N = B.shape[1]
-        C = np.zeros((self.nrows, N), dtype=out_dtype)
-        if not self.nnz:
-            return C
-        # Fast path for nearly-dense matrices (the dense end of the paper's
-        # band-matrix sweep): materialise the dense operand and let BLAS do
-        # the product instead of gathering per non-zero.
-        dense_bytes = self.nrows * self.ncols * np.dtype(out_dtype).itemsize
-        if self.density >= 0.2 and dense_bytes <= 4 * 2**30:
-            return self.to_dense().astype(out_dtype) @ B.astype(out_dtype)
-        # Row-segmented reduction: contributions of a row are contiguous in
-        # CSR order, so summing them is an add.reduceat over the row-pointer
-        # boundaries.  Work in bounded chunks of rows to keep the temporary
-        # (chunk_nnz x N) product small even for dense-like matrices.
-        target_chunk_nnz = 2_000_000
-        row_start = 0
-        while row_start < self.nrows:
-            lo = int(self.rowptr[row_start])
-            row_end = int(
-                np.searchsorted(self.rowptr, lo + target_chunk_nnz, side="right") - 1
-            )
-            row_end = min(max(row_end, row_start + 1), self.nrows)
-            hi = int(self.rowptr[row_end])
-            if hi > lo:
-                prod = self.val[lo:hi, None].astype(out_dtype) * B[self.col[lo:hi]]
-                ptr = self.rowptr[row_start : row_end + 1].astype(np.int64) - lo
-                nonempty = np.diff(ptr) > 0
-                starts = ptr[:-1][nonempty]
-                sums = np.add.reduceat(prod, starts, axis=0)
-                C[row_start:row_end][nonempty] = sums
-            row_start = row_end
-        return C
+        # the operator's dtype is at most out_dtype, so scipy returns out_dtype
+        return self.scipy_operator() @ B.astype(out_dtype, copy=False)
 
     # -- statistics used by reordering / analysis ------------------------------
     def row_nnz(self) -> np.ndarray:

@@ -69,7 +69,7 @@ class DenseMatrix(SparseFormat):
     def spmm(self, B: np.ndarray) -> np.ndarray:
         B = check_dense_operand(B, self.ncols)
         out_dtype = np.result_type(self.dtype, B.dtype, np.float32)
-        return self.data.astype(out_dtype) @ B.astype(out_dtype)
+        return self.data.astype(out_dtype, copy=False) @ B.astype(out_dtype, copy=False)
 
     def _storage_arrays(self):
         return (self.data,)

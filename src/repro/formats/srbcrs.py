@@ -96,6 +96,8 @@ class SRBCRSMatrix(SparseFormat):
         if nnz_logical is None:
             nnz_logical = int(np.count_nonzero(self.vectors))
         self._nnz_logical = int(nnz_logical)
+        #: element-level CSR of the stored non-zeros, the operator of :meth:`spmm`
+        self._elements = None
 
     # -- construction -------------------------------------------------------------
     @classmethod
@@ -158,7 +160,7 @@ class SRBCRSMatrix(SparseFormat):
         vectors[dest[owner], in_r[order]] = vals[order]
 
         idx = index_dtype_for(M, K, n_vectors)
-        return cls(
+        out = cls(
             panel_ptr.astype(idx),
             vec_col,
             vectors,
@@ -167,6 +169,9 @@ class SRBCRSMatrix(SparseFormat):
             stride=s,
             nnz_logical=csr.nnz,
         )
+        # the vectors hold exactly csr's non-zeros: reuse it as the operator
+        out._elements = csr
+        return out
 
     # -- SparseFormat API -----------------------------------------------------------
     @property
@@ -219,29 +224,20 @@ class SRBCRSMatrix(SparseFormat):
         return CSRMatrix.from_coo(self.to_coo())
 
     def spmm(self, B: np.ndarray) -> np.ndarray:
-        """Reference SpMM with the Magicube dataflow: each panel accumulates
-        outer products ``vector (v x 1) @ B[col] (1 x N)``."""
+        """``A @ B`` as one scipy CSR product over the stored vectors'
+        non-zeros (padding dropped), the sum of the per-panel outer
+        products ``vector (v x 1) @ B[col] (1 x N)`` of the Magicube
+        dataflow.  The element-level operator is the source CSR's
+        :meth:`~repro.formats.csr.CSRMatrix.scipy_operator` when the
+        matrix came from :meth:`from_csr` (which holds exactly those
+        non-zeros), otherwise it is derived from the vectors on the first
+        call; either way it is reused by every later call.  The result
+        dtype is ``np.result_type(A.dtype, B.dtype, np.float32)``."""
         B = check_dense_operand(B, self.ncols)
-        N = B.shape[1]
-        v = self.vector_length
         out_dtype = np.result_type(self.dtype, B.dtype, np.float32)
-        C = np.zeros((self.n_panels, v, N), dtype=out_dtype)
-        if self.n_vectors:
-            # Per-panel accumulation as one small matrix product: the sum of
-            # outer products sum_k vec_k (v) x B[col_k] (N) over a panel's
-            # vectors equals  vectors_panel^T-free form
-            #     (v x k_panel) @ (k_panel x N).
-            # Padding vectors are all-zero, so gathering B row 0 for their
-            # (negative) column index contributes nothing.
-            safe_col = np.maximum(self.vec_col, 0)
-            Bf = B.astype(out_dtype, copy=False)
-            vectors = self.vectors.astype(out_dtype, copy=False)
-            for p in range(self.n_panels):
-                lo, hi = int(self.panel_ptr[p]), int(self.panel_ptr[p + 1])
-                if hi == lo:
-                    continue
-                C[p] = vectors[lo:hi].T @ Bf[safe_col[lo:hi]]
-        return C.reshape(self.n_panels * v, N)[: self.nrows]
+        if self._elements is None:
+            self._elements = self.to_csr()
+        return self._elements.scipy_operator() @ B.astype(out_dtype, copy=False)
 
     # -- statistics -------------------------------------------------------------------
     def vectors_per_panel(self) -> np.ndarray:
