@@ -43,7 +43,6 @@ from .core import (
     LibraryMeasurement,
     LinearPerformanceModel,
     MultiplyReport,
-    OnlineTuningConfig,
     PreprocessReport,
     SMaT,
     SMaTConfig,
@@ -72,7 +71,6 @@ __all__ = [
     "SMaT",
     "SMaTConfig",
     "ExecutionPolicy",
-    "OnlineTuningConfig",
     "SpMMEngine",
     "SpMMServer",
     "SpMMClient",

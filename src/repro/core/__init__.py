@@ -3,7 +3,7 @@ library comparison harness."""
 
 from .comparison import DEFAULT_LIBRARIES, LibraryMeasurement, compare_libraries
 from .config import SMaTConfig
-from .policy import EXECUTOR_KINDS, ExecutionPolicy, OnlineTuningConfig
+from .policy import EXECUTOR_KINDS, ExecutionPolicy
 from .perfmodel import FitResult, LinearPerformanceModel, block_count_bounds
 from .plan import ExecutionPlan, PlanSpec, config_signature, matrix_fingerprint, plan_key
 from .smat import MultiplyReport, PreprocessReport, SMaT
@@ -12,7 +12,6 @@ __all__ = [
     "SMaT",
     "SMaTConfig",
     "ExecutionPolicy",
-    "OnlineTuningConfig",
     "EXECUTOR_KINDS",
     "PlanSpec",
     "ExecutionPlan",

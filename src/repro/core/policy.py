@@ -2,9 +2,9 @@
 
 :class:`ExecutionPolicy` is the one frozen value object that carries the
 execution knobs (pool width, tuning, sharded routing, telemetry window,
-tracing, online tuning) and which *executor* runs sharded work -- the
-in-process thread pool (``"thread"``) or the GIL-escaping shared-memory
-process pool (``"process"``).  :class:`~repro.engine.SpMMEngine`,
+tracing) and which *executor* runs sharded work -- the in-process thread
+pool (``"thread"``) or the GIL-escaping shared-memory process pool
+(``"process"``).  :class:`~repro.engine.SpMMEngine`,
 :class:`~repro.shard.ShardedSpMM`, every workload function,
 ``SpMMServer`` and the CLI subcommands take it as ``policy=``; it is the
 only way to set these options.
@@ -22,9 +22,7 @@ from ..obs.config import ObservabilityConfig
 __all__ = [
     "EXECUTOR_KINDS",
     "ExecutionPolicy",
-    "OnlineTuningConfig",
     "default_executor",
-    "default_online_tune",
 ]
 
 #: executors selectable via ``ExecutionPolicy(executor=...)`` / ``--executor``
@@ -33,13 +31,6 @@ EXECUTOR_KINDS = ("thread", "process")
 #: environment variable that picks the executor when the policy leaves it
 #: ``None`` (the hook the CI process-mode job variant uses)
 EXECUTOR_ENV = "REPRO_EXECUTOR"
-
-#: environment variable that enables online tuning when the policy leaves
-#: ``online_tune`` as ``None`` (the hook the CI online-mode job uses)
-ONLINE_TUNE_ENV = "REPRO_ONLINE_TUNE"
-
-_ENV_FALSE = ("", "0", "false", "off", "no")
-_ENV_TRUE = ("1", "true", "on", "yes")
 
 
 def default_executor() -> str:
@@ -56,93 +47,6 @@ def default_executor() -> str:
             f"${EXECUTOR_ENV} must be one of {EXECUTOR_KINDS}, got {kind!r}"
         )
     return kind
-
-
-@dataclass(frozen=True)
-class OnlineTuningConfig:
-    """Switches for the online, self-correcting tuner.
-
-    A frozen, hashable, picklable value object (like
-    :class:`~repro.obs.ObservabilityConfig`) that rides on
-    :class:`ExecutionPolicy` as ``online_tune``.  Online tuning is **off
-    by default**: a policy without it keeps the engine's hot path on a
-    single ``is None`` check, and the background worker thread is only
-    started once an enabled engine actually executes work.
-
-    Attributes:
-        drift_threshold: per-backend drift (geometric mean of
-            observed/predicted time over the recent window) beyond which
-            the cost model is recalibrated and a background re-tune is
-            scheduled.  Symmetric: drift above ``t`` or below ``1/t``
-            triggers.  Must be > 1.  The default (2.5) sits above the
-            intrinsic extrapolation error of the Eq. 1 fit on matrices
-            far from the calibration bands (up to ~2x), so only genuine
-            mis-calibration trips it.
-        min_samples: observations a backend needs in its drift window
-            before the threshold is armed (guards against recalibrating
-            off one noisy sample).
-        window: drift observations retained per backend (bounded deque);
-            must be >= ``min_samples``.
-        explore: fraction of served (tuned) traffic routed to near-winner
-            configurations, in ``[0, 1)``.  ``0.0`` (default) disables
-            exploration; the stride is deterministic, not RNG-driven.
-        near_margin: a measured candidate within this factor of the
-            winner's time counts as a near-winner eligible for
-            exploration.  Must be >= 1.
-        max_keys: bound on tracked (matrix, config) keys; beyond it new
-            keys are observed for metrics but not re-tuned.
-        max_pending: bound on the hot-path observation queue; the worker
-            drains it, excess observations are dropped oldest-first.
-    """
-
-    drift_threshold: float = 2.5
-    min_samples: int = 32
-    window: int = 128
-    explore: float = 0.0
-    near_margin: float = 1.5
-    max_keys: int = 256
-    max_pending: int = 4096
-
-    def __post_init__(self) -> None:
-        """Validate field ranges at construction time."""
-        if not float(self.drift_threshold) > 1.0:
-            raise ValueError(
-                f"drift_threshold must be > 1, got {self.drift_threshold!r}"
-            )
-        if int(self.min_samples) < 1:
-            raise ValueError(f"min_samples must be >= 1, got {self.min_samples!r}")
-        if int(self.window) < int(self.min_samples):
-            raise ValueError(
-                f"window must be >= min_samples, got {self.window!r} < "
-                f"{self.min_samples!r}"
-            )
-        if not (0.0 <= float(self.explore) < 1.0):
-            raise ValueError(f"explore must be in [0, 1), got {self.explore!r}")
-        if float(self.near_margin) < 1.0:
-            raise ValueError(f"near_margin must be >= 1, got {self.near_margin!r}")
-        if int(self.max_keys) < 1:
-            raise ValueError(f"max_keys must be >= 1, got {self.max_keys!r}")
-        if int(self.max_pending) < 1:
-            raise ValueError(f"max_pending must be >= 1, got {self.max_pending!r}")
-
-
-def default_online_tune() -> Optional[OnlineTuningConfig]:
-    """Online-tuning config used when a policy does not carry one.
-
-    Resolves ``$REPRO_ONLINE_TUNE`` at call time (not at policy
-    construction), mirroring :func:`default_executor`: truthy values
-    (``1``/``true``/``on``/``yes``) enable a default
-    :class:`OnlineTuningConfig`, unset or falsy values keep online
-    tuning off, anything else raises.
-    """
-    raw = os.environ.get(ONLINE_TUNE_ENV, "").strip().lower()
-    if raw in _ENV_FALSE:
-        return None
-    if raw in _ENV_TRUE:
-        return OnlineTuningConfig()
-    raise ValueError(
-        f"${ONLINE_TUNE_ENV} must be one of {_ENV_TRUE + _ENV_FALSE}, got {raw!r}"
-    )
 
 
 @dataclass(frozen=True)
@@ -172,10 +76,8 @@ class ExecutionPolicy:
     #: tracing/metrics switches (``None`` = tracing off, no-op fast path);
     #: see :class:`repro.obs.ObservabilityConfig`
     obs: Optional[ObservabilityConfig] = None
-    #: online self-correcting tuner switches (``None`` = off unless
-    #: ``$REPRO_ONLINE_TUNE`` enables the default config at use time);
-    #: see :class:`OnlineTuningConfig`
-    online_tune: Optional[OnlineTuningConfig] = None
+    #: only ``None``: online tuning was removed; a later benchmark change drops it
+    online_tune: None = None
 
     def __post_init__(self) -> None:
         if self.executor is not None and self.executor not in EXECUTOR_KINDS:
@@ -185,8 +87,9 @@ class ExecutionPolicy:
         if int(self.max_workers) < 1:
             raise ValueError(f"max_workers must be >= 1, got {self.max_workers!r}")
         # imported here: the shard package imports this module
-        from ..shard.partition import PARTITION_MODES
+        from ..shard.partition import PARTITION_MODES, parse_grid
 
+        parse_grid(self.grid)
         if self.shard_mode not in PARTITION_MODES:
             raise ValueError(
                 f"shard_mode must be one of {PARTITION_MODES}, got {self.shard_mode!r}"
@@ -199,12 +102,9 @@ class ExecutionPolicy:
             raise TypeError(
                 f"obs must be an ObservabilityConfig or None, got {self.obs!r}"
             )
-        if self.online_tune is not None and not isinstance(
-            self.online_tune, OnlineTuningConfig
-        ):
+        if self.online_tune is not None:
             raise TypeError(
-                f"online_tune must be an OnlineTuningConfig or None, "
-                f"got {self.online_tune!r}"
+                f"online tuning was removed; online_tune must be None, got {self.online_tune!r}"
             )
 
     def resolved_executor(self) -> str:
@@ -212,14 +112,10 @@ class ExecutionPolicy:
         ``$REPRO_EXECUTOR`` / ``"thread"`` default."""
         return self.executor if self.executor is not None else default_executor()
 
-    def resolved_online_tune(self) -> Optional[OnlineTuningConfig]:
-        """The effective online-tuning config: :attr:`online_tune` or the
-        ``$REPRO_ONLINE_TUNE`` default (``None`` = off)."""
-        return (
-            self.online_tune
-            if self.online_tune is not None
-            else default_online_tune()
-        )
+    # kept for existing callers; a later benchmark change drops it
+    def resolved_online_tune(self) -> None:
+        """Always ``None``: online tuning was removed."""
+        return None
 
     def replace(self, **changes) -> "ExecutionPolicy":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""

@@ -22,7 +22,7 @@ Quick start
 7
 """
 
-from ..core.policy import ExecutionPolicy, OnlineTuningConfig
+from ..core.policy import ExecutionPolicy
 from .cache import CacheStats, PlanCache
 from .executors import ExecutorTelemetry, ProcessShardExecutor, ShardExecutor, ThreadShardExecutor
 from .engine import (
@@ -37,7 +37,6 @@ from .engine import (
 __all__ = [
     "SpMMEngine",
     "ExecutionPolicy",
-    "OnlineTuningConfig",
     "ShardExecutor",
     "ThreadShardExecutor",
     "ProcessShardExecutor",

@@ -47,7 +47,6 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterable,
     Iterator,
@@ -67,9 +66,6 @@ from ..formats import CSRMatrix
 from ..obs import MetricsRegistry, Tracer
 from .cache import CacheStats, PlanCache
 from .executors import ExecutorTelemetry, ShardExecutor, make_shard_executor
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..tuner.online import OnlineTelemetry, OnlineTuner
 
 __all__ = [
     "BatchItem",
@@ -167,10 +163,6 @@ class EngineTelemetry:
     #: imbalance, shared-memory bytes, tuning warmup hits); present even
     #: before the first sharded call (zeros for the policy's executor)
     executor: Optional[ExecutorTelemetry] = None
-    #: online-tuning loop snapshot (drift, recalibrations, background
-    #: re-tunes, exploration share); ``None`` unless the policy enables
-    #: :class:`~repro.core.policy.OnlineTuningConfig`
-    online: Optional["OnlineTelemetry"] = None
 
 
 #: work accepted by :meth:`SpMMEngine.multiply_batch`
@@ -242,22 +234,6 @@ class SpMMEngine:
             window=int(policy.latency_window),
         )
         self._cache = PlanCache(cache_size)
-        #: online self-correcting tuner (``None`` unless the policy -- or
-        #: ``$REPRO_ONLINE_TUNE`` -- enables it): drift tracking and
-        #: background re-tunes off the serving path.  Without a tuner it
-        #: runs passively (telemetry only, never overrides plans).
-        self._online: Optional["OnlineTuner"] = None
-        online_cfg = policy.resolved_online_tune()
-        if online_cfg is not None:
-            from ..tuner.online import OnlineTuner
-
-            self._online = OnlineTuner(
-                online_cfg,
-                tuner=self.tuner,
-                plan_cache=self._cache,
-                metrics=self.metrics,
-                tracer=self.tracer,
-            )
         self._executor: Optional[ThreadPoolExecutor] = None
         self._sharder: Optional[ShardExecutor] = None
         self._tickets: Dict[int, "Future[BatchResult]"] = {}
@@ -269,14 +245,13 @@ class SpMMEngine:
     def plan_for(self, A: CSRMatrix, config: Optional[SMaTConfig] = None) -> ExecutionPlan:
         """Return the prepared plan for ``(A, config)``, building and
         caching it on first use."""
-        plan, _, _, _ = self._plan_with_hit(A, config)
+        plan, _ = self._plan_with_hit(A, config)
         return plan
 
     def _plan_with_hit(
         self, A: CSRMatrix, config: Optional[SMaTConfig]
-    ) -> Tuple[ExecutionPlan, bool, object, SMaTConfig]:
-        """Fetch-or-build the plan; returns ``(plan, hit, key, cfg)`` so the
-        execution path can hand the cache key to the online tuner."""
+    ) -> Tuple[ExecutionPlan, bool]:
+        """Fetch-or-build the plan; returns ``(plan, hit)``."""
         cfg = (config or self.config).validate()
         tuned = self.tuner is not None
         if tuned:
@@ -291,7 +266,7 @@ class SpMMEngine:
                 key, lambda: self._build_plan(A, cfg, tuned=tuned)
             )
             span.set(cache_hit=hit)
-        return plan, hit, key, cfg
+        return plan, hit
 
     def _build_plan(self, A: CSRMatrix, cfg: SMaTConfig, *, tuned: bool = False) -> ExecutionPlan:
         """Build one plan via :func:`~repro.core.plan.build_with_fallback`:
@@ -348,7 +323,7 @@ class SpMMEngine:
         if self.policy.sharded:
             return self.multiply_sharded(A, B, config=config, return_report=return_report)
         with self.tracer.span("engine.multiply") as span:
-            plan, hit, _, _ = self._plan_with_hit(A, config)
+            plan, hit = self._plan_with_hit(A, config)
             C, report = plan.execute(B, keep_permuted=keep_permuted)
             span.set(cache_hit=hit, backend=report.backend)
         if not return_report:
@@ -359,40 +334,16 @@ class SpMMEngine:
         """Run one batch item, recording its latency and (when tracing) an
         ``engine.execute`` span.  ``parent`` carries the submitting
         thread's span context when the item runs on a pool thread."""
-        online = self._online
         with self.tracer.span("engine.execute", parent=parent, index=index) as span:
             start = time.perf_counter()
-            plan, hit, key, cfg = self._plan_with_hit(item.A, item.config)
-            explored_cfg = None
-            if online is not None and self.tuner is not None:
-                explored_cfg = online.maybe_explore(key)
-                if explored_cfg is not None:
-                    plan, hit = self._explored_plan(item.A, explored_cfg)
-                    span.set(explored=True)
+            plan, hit = self._plan_with_hit(item.A, item.config)
             C, report = plan.execute(item.B, keep_permuted=item.keep_permuted)
             wall_ms = 1e3 * (time.perf_counter() - start)
             span.set(cache_hit=hit, backend=report.backend, wall_ms=round(wall_ms, 3))
         self._latency.observe(wall_ms)
-        if online is not None:
-            B = item.B
-            n_cols = B.shape[1] if getattr(B, "ndim", 1) == 2 else 1
-            online.record(key, item.A, cfg, plan, report, wall_ms, n_cols, explored_cfg)
         return BatchResult(
             index=index, tag=item.tag, C=C, report=report, cache_hit=hit, wall_ms=wall_ms
         )
-
-    def _explored_plan(
-        self, A: CSRMatrix, cfg: SMaTConfig
-    ) -> Tuple[ExecutionPlan, bool]:
-        """Plan for an online-exploration candidate, cached under its own
-        key (the tuned incumbent's entry is left untouched)."""
-        key = (plan_key(A, cfg), "online-explore")
-        with self.tracer.span("plan.lookup", kernel=cfg.kernel) as span:
-            plan, hit = self._cache.get_or_build(
-                key, lambda: self._build_plan(A, cfg, tuned=False)
-            )
-            span.set(cache_hit=hit)
-        return plan, hit
 
     def execute_one(
         self,
@@ -676,16 +627,7 @@ class SpMMEngine:
             p50_ms=p50_ms,
             p99_ms=p99_ms,
             executor=executor_stats,
-            online=self._online.telemetry() if self._online is not None else None,
         )
-
-    @property
-    def online_tuner(self) -> Optional["OnlineTuner"]:
-        """The policy-gated :class:`~repro.tuner.online.OnlineTuner`, or
-        ``None`` when online tuning is disabled (the provable-no-op
-        default: the execution path then performs two ``is None`` checks
-        and nothing else)."""
-        return self._online
 
     # -- streaming ------------------------------------------------------------
     def stream(
@@ -740,8 +682,6 @@ class SpMMEngine:
         Cached plans survive until the engine is garbage collected; the
         process executor's shared-memory segments are unlinked here."""
         self._closed = True
-        if self._online is not None:
-            self._online.close()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None

@@ -14,13 +14,8 @@ Endpoints
     Liveness probe (unauthenticated).
 ``GET /metrics``
     JSON counters: requests per tenant/endpoint/status, rejection
-    reasons, latency percentiles, admission depth, plan-cache and engine
-    telemetry (unauthenticated).  With online tuning enabled
-    (``ExecutionPolicy(online_tune=...)`` or ``REPRO_ONLINE_TUNE=1``)
-    the engine block gains an ``online`` section -- per-backend drift,
-    cost-model recalibrations, background re-tunes and exploration
-    share -- and ``?format=prometheus`` exposes the same loop as
-    ``repro_online_*`` series.
+    reasons, wall-clock latency percentiles, admission depth, plan-cache
+    and engine telemetry (unauthenticated).
 ``POST /matrices``
     Register a CSR matrix by content; returns its fingerprint.  Upload
     once, multiply many.

@@ -151,24 +151,6 @@ class ServerMetrics:
                 "p50_ms": telemetry.p50_ms,
                 "p99_ms": telemetry.p99_ms,
             }
-            online = telemetry.online
-            if online is not None:
-                doc["engine"]["online"] = {
-                    "observations": online.observations,
-                    "keys": online.keys,
-                    "pending": online.pending,
-                    "drift": dict(online.drift),
-                    "model_scales": dict(online.model_scales),
-                    "recalibrations": online.recalibrations,
-                    "retunes": online.retunes,
-                    "retunes_failed": online.retunes_failed,
-                    "plan_swaps": online.plan_swaps,
-                    "explored": online.explored,
-                    "exploration_share": online.exploration_share,
-                    "promotions": online.promotions,
-                    "errors": online.errors,
-                    "worker_alive": online.worker_alive,
-                }
             executor = telemetry.executor
             if executor is not None:
                 doc["engine"]["executor"] = {

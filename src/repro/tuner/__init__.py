@@ -31,10 +31,8 @@ Quick start
 True
 """
 
-from ..core.policy import OnlineTuningConfig
 from .cache import TuningCache, TuningCacheStats, default_cache_path
 from .model import CandidateEstimate, calibrate, clear_calibration_cache, estimate_candidate
-from .online import OnlineTelemetry, OnlineTuner
 from .search import (
     CandidateOutcome,
     Tuner,
@@ -54,9 +52,6 @@ from .space import (
 __all__ = [
     "Tuner",
     "TuningResult",
-    "OnlineTuner",
-    "OnlineTelemetry",
-    "OnlineTuningConfig",
     "CandidateOutcome",
     "tune",
     "resolve_auto_config",

@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -249,16 +249,6 @@ class Tuner:
         minimum over repeats (the simulated time is deterministic).
     seed:
         Seed of the dense operand used for the measured runs.
-    model_scales:
-        Per-backend multipliers applied to the Eq. 1 predicted times
-        during pruning (``{"smat": 2.0}`` prices every SMaT candidate
-        twice as slow).  The online tuner
-        (:class:`~repro.tuner.online.OnlineTuner`) recalibrates these
-        from live serving telemetry; measured selection is unaffected
-        (the winner is still the fastest *measured* candidate), so the
-        scales only change which candidates get a timed run.  The dict
-        is held by reference: external recalibration is picked up by the
-        next search.
     """
 
     def __init__(
@@ -274,7 +264,6 @@ class Tuner:
         repeats: int = 1,
         seed: int = 0,
         tracer=None,
-        model_scales: Optional[Dict[str, float]] = None,
     ):
         if cache is False:
             self.cache: Optional[TuningCache] = None
@@ -294,14 +283,6 @@ class Tuner:
         self.max_measure = int(max_measure)
         self.repeats = int(repeats)
         self.seed = int(seed)
-        #: per-backend Eq. 1 price multipliers (shared by reference with
-        #: the online tuner's recalibration loop)
-        self.model_scales: Dict[str, float] = (
-            dict(model_scales) if model_scales is not None else {}
-        )
-        #: called with every completed :class:`TuningResult` (the online
-        #: tuner uses this to learn near-winner configs for exploration)
-        self.result_observer: Optional[Callable[[TuningResult], None]] = None
         # the engine shares its tracer after construction; a bare tuner
         # stays on the disabled (no-op) one
         from ..obs.trace import NULL_TRACER
@@ -377,8 +358,6 @@ class Tuner:
                 winner=result.best.candidate.label,
                 search_ms=round(result.search_ms, 2),
             )
-        if self.result_observer is not None:
-            self.result_observer(result)
         return result
 
     def _tune(
@@ -413,14 +392,6 @@ class Tuner:
                     blocks_now=block_counts.get(cand.block_shape),
                     kernel=cand.kernel,
                 )
-                scale = self.model_scales.get(cand.kernel, 1.0)
-                if scale != 1.0:
-                    estimate = CandidateEstimate(
-                        blocks_now=estimate.blocks_now,
-                        blocks_lower_bound=estimate.blocks_lower_bound,
-                        guaranteed_s=estimate.guaranteed_s * scale,
-                        optimistic_s=estimate.optimistic_s * scale,
-                    )
                 outcomes.append(CandidateOutcome(candidate=cand, estimate=estimate))
             except KernelUnsupportedError as exc:
                 # the backend cannot even run the calibration samples:

@@ -1,6 +1,7 @@
 """ExecutionPolicy: validation, env resolution, and the surfaces that take it."""
 
 import pickle
+import threading
 import warnings
 
 import numpy as np
@@ -8,12 +9,7 @@ import pytest
 
 from repro import SMaTConfig
 from repro.core.plan import PlanSpec
-from repro.core.policy import (
-    EXECUTOR_ENV,
-    ExecutionPolicy,
-    OnlineTuningConfig,
-    default_executor,
-)
+from repro.core.policy import EXECUTOR_ENV, ExecutionPolicy, default_executor
 from repro.engine import SpMMEngine
 from repro.serve import SpMMServer
 from repro.shard import ShardedSpMM
@@ -61,6 +57,11 @@ class TestPolicyValue:
             {"max_workers": 0},
             {"shard_mode": "banana"},
             {"latency_window": 0},
+            {"grid": "bogus"},
+            {"grid": 0},
+            {"grid": "0x2"},
+            {"grid": (2, 0)},
+            {"grid": -1},
         ],
     )
     def test_rejects_invalid_fields(self, kwargs):
@@ -71,18 +72,35 @@ class TestPolicyValue:
         policy = ExecutionPolicy(executor="process", grid="2x2", tune=True)
         assert pickle.loads(pickle.dumps(policy)) == policy
 
+    # online tuning was removed: ``online_tune=None`` is the only legal value
     def test_online_tune_rides_along(self):
-        cfg = OnlineTuningConfig(explore=0.25)
-        policy = ExecutionPolicy(online_tune=cfg)
-        assert policy.online_tune == cfg
+        policy = ExecutionPolicy(online_tune=None)
+        assert policy.online_tune is None
         assert pickle.loads(pickle.dumps(policy)) == policy
-        hash(policy)  # still hashable with the nested frozen config
+        hash(policy)
 
     def test_online_tune_replace(self):
-        base = ExecutionPolicy()
-        enabled = base.replace(online_tune=OnlineTuningConfig())
-        assert base.online_tune is None
-        assert enabled.online_tune == OnlineTuningConfig()
+        base = ExecutionPolicy(tune=True)
+        again = base.replace(online_tune=None)
+        assert again == base and again.online_tune is None
+
+    def test_resolved_online_tune_is_none(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ONLINE_TUNE", "1")
+        assert ExecutionPolicy().resolved_online_tune() is None
+
+    @pytest.mark.parametrize("value", [True, 1, "on", {}, object()])
+    def test_any_other_value_raises(self, value):
+        with pytest.raises(TypeError, match="online tuning was removed"):
+            ExecutionPolicy(online_tune=value)
+        with pytest.raises(TypeError, match="online tuning was removed"):
+            ExecutionPolicy().replace(online_tune=value)
+
+    def test_env_starts_no_tuner_thread(self, monkeypatch, medium_random):
+        monkeypatch.setenv("REPRO_ONLINE_TUNE", "1")
+        with SpMMEngine(policy=ExecutionPolicy(max_workers=1)) as engine:
+            engine.execute_one(medium_random, _operand(medium_random))
+            names = [t.name for t in threading.enumerate()]
+        assert not any(name.startswith("spmm-online") for name in names)
 
 
 class TestEnvResolution:

@@ -9,6 +9,9 @@ and raw ``urllib`` requests (for header-level assertions).
 
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -17,6 +20,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+import repro
 from repro import ExecutionPolicy, SMaT, SMaTConfig
 from repro.core.plan import matrix_fingerprint
 from repro.matrices import band_matrix
@@ -42,6 +46,28 @@ from repro.serve import (
 )
 
 N = 480
+
+#: serve one multiply over HTTP and run one tuned execute_one, then close
+#: everything; a clean shutdown leaves only the main thread and no stderr
+CLEAN_SHUTDOWN = """
+import threading
+import numpy as np
+from repro import ExecutionPolicy
+from repro.engine import SpMMEngine
+from repro.matrices import band_matrix
+from repro.serve import SpMMClient, SpMMServer
+from repro.tuner import Tuner
+
+A = band_matrix(256, 8, rng=np.random.default_rng(0))
+B = np.ones((A.ncols, 4), dtype=np.float32)
+with SpMMServer(policy=ExecutionPolicy(max_workers=2)) as server:
+    client = SpMMClient(server.url)
+    client.multiply(client.register(A), B)
+tuner = Tuner(cache=False, max_measure=2)
+with SpMMEngine(policy=ExecutionPolicy(max_workers=1), tuner=tuner) as engine:
+    engine.execute_one(A, B)
+print(",".join(t.name for t in threading.enumerate()))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -482,6 +508,19 @@ class TestLifecycle:
                 fp = client.register(A)
                 client.multiply(fp, B)
             engine.multiply(A, B)  # still open after the server shut down
+
+    def test_clean_shutdown_leaves_no_threads_and_no_stderr(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", CLEAN_SHUTDOWN],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.strip() == "MainThread"
 
     def test_url_resolves_ephemeral_port(self, open_server):
         host, port = open_server.address
