@@ -12,7 +12,11 @@ the stdlib client and gates:
   be at least 3x slower than the warm median (in practice 10-50x);
 * **sustained throughput** -- a burst of warm requests must hold a
   minimum requests/second with a bounded p99 (the `/metrics` endpoint's
-  own percentiles are cross-checked against the client-side view).
+  own percentiles are cross-checked against the client-side view);
+* **wire overhead** -- a warm ``client.multiply`` (npy bodies on a
+  kept-alive connection) must cost <= 2x the in-process
+  ``engine.multiply`` of the same op on cop20k_A at scale 0.1 with
+  N = 32, each the minimum over interleaved rounds in one process.
 """
 
 import time
@@ -29,6 +33,21 @@ from common import print_figure
 MATRIX = "cant"
 N_COLS = 8
 BURST = 40
+
+#: the wire-overhead gate's op, pinned whatever REPRO_BENCH_SCALE says
+WIRE_MATRIX = "cop20k_A"
+WIRE_SCALE = 0.1
+WIRE_COLS = 32
+#: ceiling of warm HTTP ms over in-process engine ms
+WIRE_CEILING = 2.0
+#: interleaved measurement rounds; each side keeps its minimum
+WIRE_ROUNDS = 40
+
+
+def _ms(fn, *args) -> float:
+    start = time.perf_counter()
+    fn(*args)
+    return 1e3 * (time.perf_counter() - start)
 
 
 @pytest.mark.benchmark(group="serving")
@@ -131,3 +150,43 @@ def test_sustained_warm_throughput(benchmark, bench_scale, bench_rng):
     # server-side steady state (excludes network time) must be inside
     # the client-side view, not somewhere else entirely
     assert 0.0 < server_p50 <= p99_ms + 1.0
+
+
+@pytest.mark.benchmark(group="serving")
+def test_http_multiply_over_engine(benchmark):
+    """A warm HTTP multiply costs at most 2x the same in-process multiply:
+    the wire adds little to a cached plan."""
+    A = suitesparse.load(WIRE_MATRIX, scale=WIRE_SCALE)
+    B = np.random.default_rng(0).random((A.ncols, WIRE_COLS), dtype=np.float32)
+
+    with SpMMServer(policy=ExecutionPolicy(max_workers=1)) as server:
+        with SpMMClient(server.url) as client:
+            fp = client.register(A)
+            C, _ = client.multiply(fp, B)  # builds the plan the engine side reuses
+            np.testing.assert_array_equal(C, server.engine.multiply(A, B))
+
+            http_ms = engine_ms = float("inf")
+            for _ in range(WIRE_ROUNDS):
+                http_ms = min(http_ms, _ms(client.multiply, fp, B))
+                engine_ms = min(engine_ms, _ms(server.engine.multiply, A, B))
+
+            benchmark(lambda: client.multiply(fp, B))
+
+    ratio = http_ms / engine_ms
+    print_figure(
+        f"warm multiply over HTTP vs in-process on {WIRE_MATRIX} "
+        f"(scale={WIRE_SCALE}, N={WIRE_COLS}, min of {WIRE_ROUNDS} rounds)",
+        [
+            {"path": "SpMMClient.multiply (npy, keep-alive)", "ms": http_ms},
+            {"path": "SpMMEngine.multiply (in-process)", "ms": engine_ms},
+            {"path": "ratio", "ms": ratio},
+        ],
+    )
+    benchmark.extra_info["http_ms"] = http_ms
+    benchmark.extra_info["engine_ms"] = engine_ms
+    benchmark.extra_info["http_over_engine"] = ratio
+
+    assert ratio <= WIRE_CEILING, (
+        f"warm HTTP multiply {http_ms:.2f} ms is {ratio:.2f}x the in-process "
+        f"{engine_ms:.2f} ms (ceiling {WIRE_CEILING}x)"
+    )

@@ -3,8 +3,9 @@
 This package turns the in-process :class:`~repro.engine.SpMMEngine` into
 a long-lived, multi-tenant daemon: clients register CSR matrices by
 content fingerprint, then issue synchronous multiplies, async jobs, or
-streamed batches over plain HTTP/JSON -- every request benefiting from
-the same shared plan cache that makes repeated SpMM cheap in-process.
+streamed batches over plain HTTP (npy or JSON bodies) -- every request
+benefiting from the same shared plan cache that makes repeated SpMM
+cheap in-process.
 Start it from Python (:class:`SpMMServer`) or the CLI (``repro serve``);
 talk to it with :class:`SpMMClient` or any HTTP client.
 
@@ -26,7 +27,16 @@ from .errors import (
 )
 from .metrics import ServerMetrics
 from .registry import MatrixRegistry
-from .wire import decode_array, decode_csr, encode_array, encode_csr
+from .wire import (
+    INFO_HEADER,
+    NPY_CONTENT_TYPE,
+    decode_array,
+    decode_csr,
+    decode_npy,
+    encode_array,
+    encode_csr,
+    encode_npy,
+)
 
 __all__ = [
     "SpMMServer",
@@ -48,6 +58,10 @@ __all__ = [
     "Overloaded",
     "encode_array",
     "decode_array",
+    "encode_npy",
+    "decode_npy",
+    "NPY_CONTENT_TYPE",
+    "INFO_HEADER",
     "encode_csr",
     "decode_csr",
 ]

@@ -1,7 +1,7 @@
 """The SpMM-as-a-service HTTP daemon.
 
 :class:`SpMMServer` puts the existing engine machinery behind a
-long-lived, multi-tenant HTTP/JSON surface -- stdlib
+long-lived, multi-tenant HTTP surface -- stdlib
 :class:`~http.server.ThreadingHTTPServer` only, no new dependencies.
 The request path is::
 
@@ -26,6 +26,14 @@ Endpoints
 ``POST /jobs`` / ``GET /jobs/{id}``
     Async submit/poll, mapped onto ``engine.submit()`` /
     ``engine.result()``.
+
+    These three carry a dense array and take two wire forms: a JSON
+    body, or -- what :class:`~repro.serve.client.SpMMClient` sends -- an
+    ``application/x-npy`` body with ``fingerprint`` (and an optional JSON
+    ``config``) in the query string.  A response carrying ``C`` is npy
+    when the request's ``Accept`` names ``application/x-npy``, with
+    ``cache_hit``, ``wall_ms`` and ``report`` in the JSON
+    ``X-SpMM-Info`` header; otherwise it is JSON.
 ``POST /stream``
     Many operands through ``engine.stream()``, results delivered as
     chunked NDJSON in input order.
@@ -39,6 +47,7 @@ per-request IDs.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import uuid
@@ -59,7 +68,16 @@ from .auth import Authenticator, PlanQuota, Tenant
 from .errors import ApiError, BadRequest, NotFound, Overloaded, PayloadTooLarge
 from .metrics import ServerMetrics
 from .registry import MatrixRegistry
-from .wire import decode_array, decode_csr, encode_array, report_payload
+from .wire import (
+    INFO_HEADER,
+    NPY_CONTENT_TYPE,
+    decode_array,
+    decode_csr,
+    decode_npy,
+    encode_array,
+    encode_npy,
+    report_payload,
+)
 
 __all__ = ["SpMMServer"]
 
@@ -77,11 +95,49 @@ _CONFIG_FIELDS = ("kernel", "reorder", "precision", "block_shape")
 
 
 class _HTTPServer(ThreadingHTTPServer):
-    """Threading HTTP server carrying a back-reference to the app."""
+    """Threading HTTP server carrying a back-reference to the app.
 
-    daemon_threads = True
+    Clients keep connections alive, so a handler thread lives as long as
+    its connection.  Each connection is tracked with its thread until it
+    closes, so that :meth:`close_connections` can end them all.
+    """
+
     allow_reuse_address = True
     app: "SpMMServer"
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        """Serve the connection on its own daemon thread."""
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address), daemon=True
+        )
+        with self._connections_lock:
+            self._connections[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request):
+        """Forget the connection, then close it."""
+        with self._connections_lock:
+            self._connections.pop(request, None)
+        super().shutdown_request(request)
+
+    def close_connections(self, timeout: float) -> None:
+        """Shut down every open connection and join its handler thread:
+        an idle handler's read returns end-of-file, and a busy one's
+        write fails once it has finished its request."""
+        with self._connections_lock:
+            connections = list(self._connections.items())
+        for sock, _ in connections:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # its handler closed it meanwhile
+                pass
+        for _, thread in connections:
+            thread.join(timeout)
 
 
 class SpMMServer:
@@ -208,7 +264,8 @@ class SpMMServer:
         self._httpd.serve_forever(poll_interval=0.5)
 
     def close(self) -> None:
-        """Stop serving and release the engine if owned (idempotent)."""
+        """Stop serving, end open client connections and join their
+        handler threads, and release the engine if owned (idempotent)."""
         if self._closed:
             return
         self._closed = True
@@ -216,6 +273,7 @@ class SpMMServer:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+        self._httpd.close_connections(timeout=5.0)
         self._httpd.server_close()
         if self._owns_engine:
             self.engine.close()
@@ -278,14 +336,17 @@ class SpMMServer:
         self, tenant: Tenant, payload: Dict[str, object]
     ) -> Tuple[object, np.ndarray, SMaTConfig]:
         """Shared multiply/jobs front half: fingerprint -> matrix, decode
-        ``B``, resolve the config, and charge the tenant's plan quota."""
+        ``B`` (unless an npy body already did), resolve the config, and
+        charge the tenant's plan quota."""
         fingerprint = payload.get("fingerprint")
         if not isinstance(fingerprint, str):
             raise BadRequest("request must carry a string 'fingerprint'")
         A = self.registry.get(fingerprint, tenant)
         if "B" not in payload:
             raise BadRequest("request must carry the dense operand 'B'")
-        B = decode_array(payload["B"], field="B")
+        B = payload["B"]
+        if not isinstance(B, np.ndarray):
+            B = decode_array(B, field="B")
         if B.ndim not in (1, 2) or B.shape[0] != A.ncols:
             raise BadRequest(
                 f"operand B has shape {list(B.shape)}, expected ({A.ncols}, n)"
@@ -339,12 +400,13 @@ class SpMMServer:
     def handle_multiply(
         self, tenant: Tenant, payload: Dict[str, object]
     ) -> Tuple[int, Dict[str, object]]:
-        """``POST /multiply``: synchronous execution under admission."""
+        """``POST /multiply``: synchronous execution under admission.
+        ``C`` is returned as an array; the HTTP edge encodes it."""
         A, B, cfg = self._resolve_operand(tenant, payload)
         with self.admission.admit():
             result = self.engine.execute_one(A, B, config=cfg)
         return 200, {
-            "C": encode_array(result.C),
+            "C": result.C,
             "cache_hit": result.cache_hit,
             "wall_ms": result.wall_ms,
             "report": report_payload(result.report),
@@ -391,7 +453,7 @@ class SpMMServer:
         return 200, {
             "job_id": job_id,
             "status": "done",
-            "C": encode_array(result.C),
+            "C": result.C,
             "cache_hit": result.cache_hit,
             "wall_ms": result.wall_ms,
             "report": report_payload(result.report),
@@ -426,7 +488,7 @@ class SpMMServer:
                     count += 1
                     yield {
                         "index": result.index,
-                        "C": encode_array(result.C),
+                        "C": result.C,
                         "cache_hit": result.cache_hit,
                         "wall_ms": result.wall_ms,
                     }
@@ -436,14 +498,27 @@ class SpMMServer:
         return generate()
 
 
+def _packed(payload: Dict[str, object]) -> Dict[str, object]:
+    """``payload`` with its result array ``C`` (if any) in the packed
+    JSON form."""
+    if "C" not in payload:
+        return payload
+    return {**payload, "C": encode_array(payload["C"])}
+
+
 class _Handler(BaseHTTPRequestHandler):
-    """Thin HTTP adapter: routing, auth, body limits, JSON envelopes.
+    """Thin HTTP adapter: routing, auth, body limits, wire negotiation,
+    JSON envelopes.
 
     All domain work happens on the :class:`SpMMServer` methods; this
     class only translates HTTP to/from them and accounts metrics/logs.
+    Connections are persistent (HTTP/1.1 keep-alive).
     """
 
     protocol_version = "HTTP/1.1"
+    # headers and body are separate writes: without TCP_NODELAY, Nagle's
+    # algorithm holds the body back for the client's delayed ACK
+    disable_nagle_algorithm = True
     server: _HTTPServer
 
     # -- plumbing -------------------------------------------------------------
@@ -455,6 +530,27 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: D102 - silencing stdlib logging
         pass
 
+    def _send(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        *,
+        request_id: str,
+        headers: Tuple[Tuple[str, str], ...] = (),
+    ) -> None:
+        """Write one complete response."""
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.send_header("X-Request-ID", request_id)
+        for name, value in headers:
+            self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
+
     def _send_json(
         self,
         status: int,
@@ -463,29 +559,27 @@ class _Handler(BaseHTTPRequestHandler):
         request_id: str,
         retry_after: Optional[float] = None,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Request-ID", request_id)
+        headers: Tuple[Tuple[str, str], ...] = ()
         if retry_after is not None:
-            self.send_header("Retry-After", str(max(1, int(round(retry_after)))))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+            headers = (("Retry-After", str(max(1, int(round(retry_after))))),)
+        body = json.dumps(payload).encode("utf-8")
+        self._send(status, body, "application/json", request_id=request_id, headers=headers)
 
-    def _send_text(self, status: int, text: str, *, request_id: str) -> None:
-        """Write a plain-text response (the Prometheus exposition)."""
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Request-ID", request_id)
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+    def _send_payload(self, status: int, payload: Dict[str, object], *, request_id: str) -> None:
+        """Write a handler's result.  One carrying ``C`` goes out as an npy
+        body with the other fields in the info header when the client
+        accepts npy; everything else is JSON, ``C`` packed."""
+        if "C" in payload and NPY_CONTENT_TYPE in (self.headers.get("Accept") or ""):
+            info = {k: v for k, v in payload.items() if k != "C"}
+            self._send(
+                status,
+                encode_npy(payload["C"]),
+                NPY_CONTENT_TYPE,
+                request_id=request_id,
+                headers=((INFO_HEADER, json.dumps(info)),),
+            )
+        else:
+            self._send_json(status, _packed(payload), request_id=request_id)
 
     def _send_ndjson_stream(
         self, records: Iterator[Dict[str, object]], *, request_id: str
@@ -498,14 +592,14 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         count = 0
         for record in records:
-            chunk = json.dumps(record).encode("utf-8") + b"\n"
+            chunk = json.dumps(_packed(record)).encode("utf-8") + b"\n"
             self.wfile.write(b"%x\r\n" % len(chunk) + chunk + b"\r\n")
             count += 1
         self.wfile.write(b"0\r\n\r\n")
         return count
 
-    def _read_json_body(self) -> Tuple[Dict[str, object], int]:
-        """Read and parse the request body under the size limit."""
+    def _read_body(self) -> bytes:
+        """Read the request body under the size limit."""
         length_header = self.headers.get("Content-Length")
         if length_header is None:
             raise BadRequest("missing Content-Length")
@@ -524,13 +618,36 @@ class _Handler(BaseHTTPRequestHandler):
             )
         raw = self.rfile.read(length)
         self._body_consumed = True
+        return raw
+
+    def _read_json_body(self) -> Tuple[Dict[str, object], int]:
+        """Read and parse a JSON request body; returns it with its size."""
+        raw = self._read_body()
         try:
             payload = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise BadRequest(f"body is not valid JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise BadRequest("body must be a JSON object")
-        return payload, length
+        return payload, len(raw)
+
+    def _read_operand_payload(self, query: str) -> Tuple[Dict[str, object], int]:
+        """The payload of a multiply or job submission: a JSON body, or an
+        npy body ``B`` with ``fingerprint`` and an optional JSON
+        ``config`` in the query string."""
+        if self.headers.get_content_type() != NPY_CONTENT_TYPE:
+            return self._read_json_body()
+        raw = self._read_body()
+        payload: Dict[str, object] = {"B": decode_npy(raw, field="B")}
+        params = parse_qs(query)
+        if "fingerprint" in params:
+            payload["fingerprint"] = params["fingerprint"][0]
+        if "config" in params:
+            try:
+                payload["config"] = json.loads(params["config"][0])
+            except json.JSONDecodeError as exc:
+                raise BadRequest(f"config is not valid JSON: {exc}") from None
+        return payload, len(raw)
 
     def _drain_body(self) -> None:
         """Discard an unread request body so an early error response can
@@ -594,8 +711,11 @@ class _Handler(BaseHTTPRequestHandler):
                     fmt = parse_qs(parts.query).get("format", ["json"])[0]
                     if fmt == "prometheus":
                         status = 200
-                        self._send_text(
-                            status, app.handle_metrics_prometheus(), request_id=request_id
+                        self._send(
+                            status,
+                            app.handle_metrics_prometheus().encode("utf-8"),
+                            "text/plain; version=0.0.4; charset=utf-8",
+                            request_id=request_id,
                         )
                         return
                     status, payload = app.handle_metrics()
@@ -614,10 +734,10 @@ class _Handler(BaseHTTPRequestHandler):
                     body, bytes_in = self._read_json_body()
                     status, payload = app.handle_register(tenant, body)
                 elif method == "POST" and path == "/multiply":
-                    body, bytes_in = self._read_json_body()
+                    body, bytes_in = self._read_operand_payload(parts.query)
                     status, payload = app.handle_multiply(tenant, body)
                 elif method == "POST" and path == "/jobs":
-                    body, bytes_in = self._read_json_body()
+                    body, bytes_in = self._read_operand_payload(parts.query)
                     status, payload = app.handle_submit(tenant, body)
                 elif method == "POST" and path == "/stream":
                     body, bytes_in = self._read_json_body()
@@ -627,7 +747,7 @@ class _Handler(BaseHTTPRequestHandler):
                     return
                 else:
                     raise NotFound(f"no such endpoint: {endpoint}")
-                self._send_json(status, payload, request_id=request_id)
+                self._send_payload(status, payload, request_id=request_id)
             except ApiError as exc:
                 status = exc.status
                 rejected = exc.code if status in (401, 413, 429) else None

@@ -1,32 +1,52 @@
 """A minimal stdlib client for the serving daemon.
 
-:class:`SpMMClient` wraps :mod:`urllib.request` so scripts, docs, and
-tests can drive the HTTP surface without any extra dependency -- and
-without hand-rolling the wire format: matrices go up via
-:func:`~repro.serve.wire.encode_csr`, operands via
-:func:`~repro.serve.wire.encode_array`, and results come back as numpy
-arrays.
+:class:`SpMMClient` drives the HTTP surface over :mod:`http.client` so
+scripts, docs, and tests need no extra dependency and never hand-roll
+the wire format.  Each thread keeps one persistent (keep-alive)
+connection.  Operands of ``multiply``/``submit`` travel as
+``application/x-npy`` bodies and results come back the same way
+(:func:`~repro.serve.wire.encode_npy`/:func:`~repro.serve.wire.decode_npy`),
+so a warm multiply pays no text encoding; matrix registration and
+streams use the JSON forms (:func:`~repro.serve.wire.encode_csr`,
+:func:`~repro.serve.wire.encode_array`).  Results are numpy arrays.
 
 >>> from repro.serve import SpMMServer, SpMMClient
->>> with SpMMServer() as server:
-...     client = SpMMClient(server.url)
+>>> with SpMMServer() as server, SpMMClient(server.url) as client:
 ...     fp = client.register(A)
 ...     C, info = client.multiply(fp, B)
 """
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
+import threading
+import time
+import weakref
 from typing import Dict, Iterator, List, Optional, Tuple
+from urllib.parse import urlencode, urlsplit
 
 import numpy as np
 
 from ..formats import CSRMatrix
-from .wire import decode_array, encode_array, encode_csr
+from .wire import (
+    INFO_HEADER,
+    NPY_CONTENT_TYPE,
+    decode_array,
+    decode_npy,
+    encode_array,
+    encode_csr,
+    encode_npy,
+)
 
 __all__ = ["SpMMClient", "ServeClientError"]
+
+_JSON = "application/json"
+
+
+def _close_all(connections: Dict[threading.Thread, http.client.HTTPConnection]) -> None:
+    for conn in list(connections.values()):
+        conn.close()
 
 
 class ServeClientError(RuntimeError):
@@ -56,6 +76,10 @@ class ServeClientError(RuntimeError):
 class SpMMClient:
     """Talk to one :class:`~repro.serve.app.SpMMServer` over HTTP.
 
+    Safe to share between threads: each thread uses its own persistent
+    connection.  :meth:`close` (or leaving the ``with`` block) closes
+    them all; a later call opens a fresh one.
+
     Parameters
     ----------
     base_url:
@@ -70,58 +94,170 @@ class SpMMClient:
         self.base_url = base_url.rstrip("/")
         self.token = token
         self.timeout = float(timeout)
+        parts = urlsplit(self.base_url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError(f"base_url must be an http:// URL, got {base_url!r}")
+        self._host = parts.hostname
+        self._port = parts.port
+        self._prefix = parts.path
+        #: each thread's persistent connection
+        self._connections: Dict[threading.Thread, http.client.HTTPConnection] = {}
+        self._connections_lock = threading.Lock()
+        # a client dropped without close() still releases its sockets
+        weakref.finalize(self, _close_all, self._connections)
+
+    # -- lifecycle ------------------------------------------------------------
+    def close(self) -> None:
+        """Close every thread's connection (the client stays usable)."""
+        with self._connections_lock:
+            _close_all(self._connections)
+
+    def __enter__(self) -> "SpMMClient":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
     # -- transport ------------------------------------------------------------
-    def _request(
-        self, method: str, path: str, payload: Optional[Dict[str, object]] = None
-    ) -> Tuple[int, Dict[str, object]]:
-        data = None if payload is None else json.dumps(payload).encode("utf-8")
-        req = urllib.request.Request(self.base_url + path, data=data, method=method)
-        req.add_header("Content-Type", "application/json")
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's persistent connection, created on first use; the
+        connections of threads that have ended are closed then."""
+        thread = threading.current_thread()
+        conn = self._connections.get(thread)
+        if conn is None:
+            conn = http.client.HTTPConnection(self._host, self._port, timeout=self.timeout)
+            with self._connections_lock:
+                for ended in [t for t in self._connections if not t.is_alive()]:
+                    self._connections.pop(ended).close()
+                self._connections[thread] = conn
+        return conn
+
+    def _send(
+        self,
+        method: str,
+        path: str,
+        body: Optional[bytes] = None,
+        content_type: str = _JSON,
+    ) -> Tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
+        """Send one request on this thread's connection; returns the
+        connection and the response of a successful request, body unread.
+
+        A kept-alive connection the server has dropped meanwhile is
+        reopened and the request sent once more; error responses are
+        raised as :class:`ServeClientError`.
+        """
+        headers = {"Accept": f"{NPY_CONTENT_TYPE}, {_JSON}"}
+        if body is not None:
+            headers["Content-Type"] = content_type
         if self.token:
-            req.add_header("Authorization", f"Bearer {self.token}")
+            headers["Authorization"] = f"Bearer {self.token}"
+        conn = self._connection()
+        url = self._prefix + path
+        reused = conn.sock is not None
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return resp.status, json.loads(resp.read())
-        except urllib.error.HTTPError as exc:
-            raise self._error_from(exc) from None
+            resp = self._exchange(conn, method, url, body, headers)
+        except ConnectionError:
+            if not reused:
+                raise
+            resp = self._exchange(conn, method, url, body, headers)
+        if resp.status >= 400:
+            raise self._error_from(conn, resp)
+        return conn, resp
 
     @staticmethod
-    def _error_from(exc: urllib.error.HTTPError) -> ServeClientError:
-        code, message = "internal", str(exc)
+    def _exchange(
+        conn: http.client.HTTPConnection,
+        method: str,
+        url: str,
+        body: Optional[bytes],
+        headers: Dict[str, str],
+    ) -> http.client.HTTPResponse:
         try:
-            envelope = json.loads(exc.read())
+            conn.request(method, url, body=body, headers=headers)
+            return conn.getresponse()
+        except (OSError, http.client.HTTPException):
+            conn.close()  # a failed exchange leaves the connection unusable
+            raise
+
+    @staticmethod
+    def _read(conn: http.client.HTTPConnection, resp: http.client.HTTPResponse) -> bytes:
+        """The whole response body (a half-read response would block the
+        connection's next request, so a failed read closes it)."""
+        try:
+            return resp.read()
+        except (OSError, http.client.HTTPException):
+            conn.close()
+            raise
+
+    def _call(
+        self,
+        method: str,
+        path: str,
+        body: Optional[bytes] = None,
+        content_type: str = _JSON,
+    ) -> Dict[str, object]:
+        """One request/response exchange; returns the response payload.
+        An npy response becomes its info header's fields plus ``C``."""
+        conn, resp = self._send(method, path, body, content_type)
+        raw = self._read(conn, resp)
+        if resp.getheader("Content-Type") == NPY_CONTENT_TYPE:
+            payload = json.loads(resp.getheader(INFO_HEADER) or "{}")
+            payload["C"] = decode_npy(raw, field="C")
+            return payload
+        return json.loads(raw)
+
+    def _request(
+        self, method: str, path: str, payload: Optional[Dict[str, object]] = None
+    ) -> Dict[str, object]:
+        """A JSON exchange: ``payload`` (if any) as the body."""
+        body = None if payload is None else json.dumps(payload).encode("utf-8")
+        return self._call(method, path, body)
+
+    def _operand_call(
+        self, path: str, fingerprint: str, B: np.ndarray, config: Optional[Dict[str, object]]
+    ) -> Dict[str, object]:
+        """``POST`` an npy operand with the fingerprint and config in the
+        query string."""
+        query = {"fingerprint": fingerprint}
+        if config is not None:
+            query["config"] = json.dumps(config)
+        return self._call("POST", f"{path}?{urlencode(query)}", encode_npy(B), NPY_CONTENT_TYPE)
+
+    def _error_from(
+        self, conn: http.client.HTTPConnection, resp: http.client.HTTPResponse
+    ) -> ServeClientError:
+        code, message = "internal", resp.reason
+        try:
+            envelope = json.loads(self._read(conn, resp))
             code = envelope["error"]["code"]
             message = envelope["error"]["message"]
         except (json.JSONDecodeError, KeyError, TypeError):
             pass
         retry_after: Optional[float] = None
-        header = exc.headers.get("Retry-After") if exc.headers else None
+        header = resp.getheader("Retry-After")
         if header is not None:
             try:
                 retry_after = float(header)
             except ValueError:
                 pass
-        return ServeClientError(exc.code, code, message, retry_after=retry_after)
+        return ServeClientError(resp.status, code, message, retry_after=retry_after)
 
     # -- endpoints ------------------------------------------------------------
     def health(self) -> Dict[str, object]:
         """``GET /healthz``."""
-        return self._request("GET", "/healthz")[1]
+        return self._request("GET", "/healthz")
 
     def metrics(self) -> Dict[str, object]:
         """``GET /metrics``."""
-        return self._request("GET", "/metrics")[1]
+        return self._request("GET", "/metrics")
 
     def register(self, A: CSRMatrix) -> str:
         """Upload a CSR matrix; returns its content fingerprint."""
-        _, payload = self._request("POST", "/matrices", encode_csr(A))
-        return str(payload["fingerprint"])
+        return str(self._request("POST", "/matrices", encode_csr(A))["fingerprint"])
 
     def list_matrices(self) -> List[Dict[str, object]]:
         """This tenant's registrations."""
-        _, payload = self._request("GET", "/matrices")
-        return list(payload["matrices"])
+        return list(self._request("GET", "/matrices")["matrices"])
 
     def multiply(
         self,
@@ -132,11 +268,8 @@ class SpMMClient:
     ) -> Tuple[np.ndarray, Dict[str, object]]:
         """Synchronous multiply; returns ``(C, info)`` where ``info``
         carries ``cache_hit``, ``wall_ms``, and the execution report."""
-        body: Dict[str, object] = {"fingerprint": fingerprint, "B": encode_array(B)}
-        if config is not None:
-            body["config"] = config
-        _, payload = self._request("POST", "/multiply", body)
-        C = decode_array(payload.pop("C"), field="C")
+        payload = self._operand_call("/multiply", fingerprint, B, config)
+        C = payload.pop("C")
         return C, payload
 
     def submit(
@@ -147,25 +280,16 @@ class SpMMClient:
         config: Optional[Dict[str, object]] = None,
     ) -> str:
         """Async submit; returns a job id to poll."""
-        body: Dict[str, object] = {"fingerprint": fingerprint, "B": encode_array(B)}
-        if config is not None:
-            body["config"] = config
-        _, payload = self._request("POST", "/jobs", body)
-        return str(payload["job_id"])
+        return str(self._operand_call("/jobs", fingerprint, B, config)["job_id"])
 
     def poll(self, job_id: str) -> Dict[str, object]:
         """One non-blocking poll of a job; ``status`` is ``"pending"``,
         ``"done"`` (result attached, consumed), or ``"failed"``."""
-        _, payload = self._request("GET", f"/jobs/{job_id}")
-        if payload.get("status") == "done":
-            payload["C"] = decode_array(payload["C"], field="C")
-        return payload
+        return self._request("GET", f"/jobs/{job_id}")
 
     def result(self, job_id: str, *, poll_interval: float = 0.02) -> np.ndarray:
         """Poll until the job finishes and return ``C`` (raises
         :class:`ServeClientError` on a failed job)."""
-        import time
-
         while True:
             payload = self.poll(job_id)
             if payload["status"] == "done":
@@ -185,7 +309,9 @@ class SpMMClient:
 
         The response is NDJSON over chunked transfer encoding;
         ``http.client`` de-chunks transparently, so each line read is one
-        result record.
+        result record.  A stream abandoned before its end closes this
+        thread's connection, which cannot carry another request until
+        the response is read.
         """
         body: Dict[str, object] = {
             "fingerprint": fingerprint,
@@ -193,17 +319,14 @@ class SpMMClient:
         }
         if config is not None:
             body["config"] = config
-        data = json.dumps(body).encode("utf-8")
-        req = urllib.request.Request(self.base_url + "/stream", data=data, method="POST")
-        req.add_header("Content-Type", "application/json")
-        if self.token:
-            req.add_header("Authorization", f"Bearer {self.token}")
+        conn, resp = self._send("POST", "/stream", json.dumps(body).encode("utf-8"))
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                for line in resp:
-                    record = json.loads(line)
-                    if record.get("done"):
-                        return
-                    yield int(record["index"]), decode_array(record["C"], field="C")
-        except urllib.error.HTTPError as exc:
-            raise self._error_from(exc) from None
+            for line in resp:
+                record = json.loads(line)
+                if record.get("done"):
+                    resp.read()  # the closing chunk: leaves the connection reusable
+                    return
+                yield int(record["index"]), decode_array(record["C"], field="C")
+        finally:
+            if not resp.isclosed():
+                conn.close()

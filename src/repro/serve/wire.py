@@ -1,17 +1,24 @@
-"""JSON wire codecs for arrays, matrices and reports.
+"""Wire codecs for arrays, matrices and reports.
 
-The daemon speaks plain JSON, so numpy arrays need a transport form.
-Two encodings are accepted on input:
+Dense operands and results have two transport forms:
 
-* **packed** (what :class:`~repro.serve.client.SpMMClient` sends) --
+* **npy** (what :class:`~repro.serve.client.SpMMClient` uses for
+  ``POST /multiply`` and ``POST /jobs``) -- the request or response body
+  *is* one ``.npy`` file (``Content-Type: application/x-npy``), written
+  and read with :mod:`numpy.lib.format` (:func:`encode_npy` /
+  :func:`decode_npy`): no text encoding at all, so a warm multiply costs
+  about what the engine does;
+* **JSON** -- inside a JSON body, either **packed**
   ``{"dtype": ..., "shape": [...], "data_b64": ...}`` with the raw
-  little-endian buffer base64-encoded: compact, lossless and O(n) to
-  decode;
-* **plain nested lists** -- convenient for hand-written requests
-  (``curl``); decoded with :func:`numpy.asarray`.
+  little-endian buffer base64-encoded (:func:`encode_array`), or **plain
+  nested lists**, convenient for hand-written requests (``curl``).
+  :func:`decode_array` accepts both; JSON responses use the packed form.
 
-Responses always use the packed form.  CSR matrices travel as their
-three arrays plus the shape (:func:`encode_csr`/:func:`decode_csr`), and
+Both decoders apply the same checks -- numeric dtypes only, no negative
+dimensions, a byte count that matches the shape -- and raise
+:class:`~repro.serve.errors.BadRequest` on any failure, so malformed
+input becomes a 400, never a 500.  CSR matrices travel as their three
+packed arrays plus the shape (:func:`encode_csr`/:func:`decode_csr`), and
 :func:`report_payload` flattens a :class:`~repro.core.plan.MultiplyReport`
 into the JSON summary returned with every multiply.
 """
@@ -19,7 +26,10 @@ into the JSON summary returned with every multiply.
 from __future__ import annotations
 
 import base64
-from typing import Dict, Optional
+import io
+import math
+import tokenize
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +38,10 @@ from ..formats import CSRMatrix
 from .errors import BadRequest
 
 __all__ = [
+    "NPY_CONTENT_TYPE",
+    "INFO_HEADER",
+    "encode_npy",
+    "decode_npy",
     "encode_array",
     "decode_array",
     "encode_csr",
@@ -35,8 +49,79 @@ __all__ = [
     "report_payload",
 ]
 
-#: dtypes accepted over the wire (little-endian on the wire; no objects)
+#: media type of a body that is one ``.npy`` file
+NPY_CONTENT_TYPE = "application/x-npy"
+
+#: response header carrying, as JSON, the fields that accompany an npy
+#: result (``cache_hit``, ``wall_ms``, ``report``, ...)
+INFO_HEADER = "X-SpMM-Info"
+
+#: dtypes accepted over the wire (no objects, no structured records)
 _ALLOWED_KINDS = frozenset("fiu")
+
+#: longest ``.npy`` header accepted; :mod:`numpy.lib.format` writes
+#: about 120 characters for a 2-D array
+_MAX_NPY_HEADER = 1024
+
+
+def _array_from_buffer(
+    raw: bytes, dtype: np.dtype, shape: Sequence[int], *, offset: int = 0, field: str
+) -> np.ndarray:
+    """Validate ``dtype``/``shape`` against ``raw[offset:]`` and return a
+    writable native-order copy; every failure is a :class:`BadRequest`."""
+    if dtype.kind not in _ALLOWED_KINDS:
+        raise BadRequest(f"{field}: dtype {dtype.name!r} not allowed on the wire")
+    if any(d < 0 for d in shape):
+        raise BadRequest(f"{field}: negative dimension in shape {list(shape)}")
+    expected = math.prod(shape) * dtype.itemsize
+    if len(raw) - offset != expected:
+        raise BadRequest(
+            f"{field}: buffer holds {len(raw) - offset} bytes, shape {list(shape)} "
+            f"with dtype {dtype.name} needs {expected}"
+        )
+    try:
+        arr = np.frombuffer(raw, dtype=dtype, offset=offset).reshape(shape)
+    except (ValueError, OverflowError) as exc:
+        raise BadRequest(f"{field}: unsupported shape {list(shape)}: {exc}") from None
+    # always copy: frombuffer views are read-only, and CSR construction
+    # sorts row segments in place
+    return arr.astype(dtype.newbyteorder("="), copy=True)
+
+
+def encode_npy(arr: np.ndarray) -> bytes:
+    """Encode a numpy array as the bytes of one C-order ``.npy`` file."""
+    arr = np.ascontiguousarray(arr)
+    if arr.dtype.kind not in _ALLOWED_KINDS:
+        raise ValueError(f"cannot encode dtype {arr.dtype} over the wire")
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr, allow_pickle=False)
+    return buf.getvalue()
+
+
+def decode_npy(raw: bytes, *, field: str = "array") -> np.ndarray:
+    """Decode the bytes of one ``.npy`` file into a writable array.
+
+    Accepts format versions 1.0 and 2.0 with a header of at most 1024
+    characters, C order only, either byte order (the result is native).
+    Raises :class:`~repro.serve.errors.BadRequest` on any malformed input.
+    """
+    fp = io.BytesIO(raw)
+    try:
+        version = np.lib.format.read_magic(fp)
+        if version == (1, 0):
+            header = np.lib.format.read_array_header_1_0(fp, max_header_size=_MAX_NPY_HEADER)
+        elif version == (2, 0):
+            header = np.lib.format.read_array_header_2_0(fp, max_header_size=_MAX_NPY_HEADER)
+        else:
+            raise BadRequest(f"{field}: unsupported npy format version {version}")
+    # numpy's header parser falls back to tokenize for headers written
+    # by Python 2, so a garbled header can also raise TokenError
+    except (ValueError, SyntaxError, TypeError, tokenize.TokenError) as exc:
+        raise BadRequest(f"{field}: malformed npy data: {exc}") from None
+    shape, fortran_order, dtype = header
+    if fortran_order:
+        raise BadRequest(f"{field}: Fortran-order npy data is not accepted; send C order")
+    return _array_from_buffer(raw, dtype, shape, offset=fp.tell(), field=field)
 
 
 def encode_array(arr: np.ndarray) -> Dict[str, object]:
@@ -63,20 +148,9 @@ def decode_array(obj: object, *, field: str = "array") -> np.ndarray:
             dtype = np.dtype(str(obj["dtype"]))
             shape = tuple(int(d) for d in obj["shape"])
             raw = base64.b64decode(str(obj["data_b64"]), validate=True)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BadRequest(f"{field}: malformed packed array: {exc}") from None
-        if dtype.kind not in _ALLOWED_KINDS:
-            raise BadRequest(f"{field}: dtype {dtype.name!r} not allowed on the wire")
-        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        if len(raw) != expected:
-            raise BadRequest(
-                f"{field}: buffer holds {len(raw)} bytes, shape {shape} "
-                f"with dtype {dtype.name} needs {expected}"
-            )
-        arr = np.frombuffer(raw, dtype=dtype.newbyteorder("<")).reshape(shape)
-        # always copy: frombuffer views are read-only, and CSR
-        # construction sorts row segments in place
-        return arr.astype(dtype, copy=True)
+        return _array_from_buffer(raw, dtype.newbyteorder("<"), shape, field=field)
     if isinstance(obj, list):
         try:
             arr = np.asarray(obj)

@@ -149,5 +149,6 @@ class TestRealDocumentation:
             "Retry-After",
             "max_body_bytes",
             "repro serve",
+            "application/x-npy",
         ):
             assert needle in text, f"serving manual lost its {needle!r} coverage"

@@ -4,17 +4,21 @@ Unit layers (wire codecs, authenticator, quotas, registry, admission
 controller) are tested directly; the HTTP surface is tested end to end
 against a live in-process :class:`~repro.serve.SpMMServer` on an
 ephemeral port, through both the stdlib :class:`~repro.serve.SpMMClient`
-and raw ``urllib`` requests (for header-level assertions).
+and raw ``urllib``/``http.client`` requests (for header-level assertions
+and for several requests on one connection).
 """
 
+import http.client
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import numpy as np
@@ -25,6 +29,8 @@ from repro import ExecutionPolicy, SMaT, SMaTConfig
 from repro.core.plan import matrix_fingerprint
 from repro.matrices import band_matrix
 from repro.serve import (
+    INFO_HEADER,
+    NPY_CONTENT_TYPE,
     AdmissionController,
     Authenticator,
     BadRequest,
@@ -40,8 +46,10 @@ from repro.serve import (
     Unauthorized,
     decode_array,
     decode_csr,
+    decode_npy,
     encode_array,
     encode_csr,
+    encode_npy,
     parse_token_specs,
 )
 
@@ -92,6 +100,45 @@ def client(open_server):
     return SpMMClient(open_server.url)
 
 
+def npy_header(header: str, version=(1, 0)) -> bytes:
+    """The magic string, length field and ``header`` of an npy file."""
+    raw = header.encode("latin1")
+    length = struct.pack("<H" if version == (1, 0) else "<I", len(raw))
+    return b"\x93NUMPY" + bytes(version) + length + raw
+
+
+def npy_file(descr="<f4", shape=(1,), *, fortran=False, pad=0, data=b"") -> bytes:
+    """An npy file with the given header fields followed by ``data``."""
+    header = f"{{'descr': {descr!r}, 'fortran_order': {fortran}, 'shape': {shape!r}, }}"
+    return npy_header(header + " " * pad) + data
+
+
+_GOOD_NPY = npy_file(shape=(3, 4), data=bytes(48))
+
+#: malformed npy bodies, each of which must be a 400, never a 500
+BAD_NPY = {
+    "object_dtype": npy_file("|O", data=bytes(8)),
+    "byte_count_mismatch": _GOOD_NPY[:-4],
+    "truncated_header": _GOOD_NPY[:20],
+    "fortran_order": npy_file(shape=(2, 2), fortran=True, data=bytes(16)),
+    "oversized_header": npy_file(pad=4096, data=bytes(4)),
+    "bad_magic": b"XNUMPY" + _GOOD_NPY[6:],
+    "unknown_version": b"\x93NUMPY\x03\x00" + _GOOD_NPY[8:],
+    "negative_dims": npy_file(shape=(-2, -2), data=bytes(16)),
+    "unparsable_header": npy_header("{'descr': '<f4', 'shape': ((((, }"),
+    "empty": b"",
+}
+
+#: packed arrays whose shape used to escape as a bare ValueError or
+#: OverflowError (a 500 over HTTP)
+BAD_PACKED_SHAPES = [
+    {"dtype": "float32", "shape": [-2, -2], "data_b64": "A" * 24},
+    {"dtype": "float32", "shape": [-1, -4], "data_b64": "A" * 24},
+    {"dtype": "float32", "shape": [1e30], "data_b64": "AAAAAA=="},
+    {"dtype": "float32", "shape": [0, 10**30], "data_b64": ""},
+]
+
+
 class TestWireFormat:
     def test_array_roundtrip_packed(self):
         for arr in (
@@ -122,6 +169,38 @@ class TestWireFormat:
             )  # length mismatch
         with pytest.raises(BadRequest):
             decode_array("not an array")
+
+    @pytest.mark.parametrize("obj", BAD_PACKED_SHAPES, ids=lambda o: str(o["shape"]))
+    def test_packed_malformed_shapes_are_bad_request(self, obj):
+        with pytest.raises(BadRequest):
+            decode_array(obj)
+
+    def test_npy_roundtrip(self):
+        for arr in (
+            np.arange(12, dtype=np.float32).reshape(3, 4),
+            np.array([1, 2, 3], dtype=np.int64),
+            np.zeros((0, 5), dtype=np.float64),
+            np.asfortranarray(np.ones((3, 2), dtype=np.float32)),  # sent as C order
+        ):
+            out = decode_npy(encode_npy(arr))
+            assert out.dtype == arr.dtype and out.shape == arr.shape
+            assert out.flags.writeable
+            np.testing.assert_array_equal(out, arr)
+
+    def test_npy_big_endian_decodes_to_native(self):
+        big = np.arange(6, dtype=">f4").reshape(2, 3)
+        out = decode_npy(encode_npy(big))
+        assert out.dtype == np.dtype("float32") and out.dtype.isnative
+        np.testing.assert_array_equal(out, big)
+
+    @pytest.mark.parametrize("body", list(BAD_NPY.values()), ids=list(BAD_NPY))
+    def test_npy_rejects_malformed(self, body):
+        with pytest.raises(BadRequest):
+            decode_npy(body)
+
+    def test_npy_encoder_rejects_objects(self):
+        with pytest.raises(ValueError):
+            encode_npy(np.array([object()]))
 
     def test_csr_roundtrip_preserves_fingerprint(self, A):
         out = decode_csr(encode_csr(A))
@@ -337,6 +416,213 @@ class TestErrorPaths:
                 time.sleep(0.005)
             snap = server.metrics.snapshot()
             assert snap["rejected"] == {"payload_too_large": 1}
+
+
+def _npy_multiply(conn, fingerprint, B, *, accept=NPY_CONTENT_TYPE, query=None):
+    """One raw ``POST /multiply`` with an npy body on ``conn``."""
+    params = {"fingerprint": fingerprint} if query is None else query
+    conn.request(
+        "POST",
+        "/multiply?" + urllib.parse.urlencode(params),
+        body=B if isinstance(B, bytes) else encode_npy(B),
+        headers={"Content-Type": NPY_CONTENT_TYPE, "Accept": accept},
+    )
+    resp = conn.getresponse()
+    return resp, resp.read()
+
+
+def _connect(server) -> http.client.HTTPConnection:
+    host, port = server.address
+    return http.client.HTTPConnection(host, port, timeout=10)
+
+
+def _wait_for(predicate, timeout=5.0):
+    deadline = time.time() + timeout
+    while not predicate() and time.time() < deadline:
+        time.sleep(0.005)
+    return predicate()
+
+
+class TestNpyWire:
+    @pytest.mark.parametrize("obj", BAD_PACKED_SHAPES, ids=lambda o: str(o["shape"]))
+    def test_malformed_packed_shape_is_400(self, open_server, client, A, obj):
+        body = json.dumps({"fingerprint": client.register(A), "B": obj}).encode()
+        req = urllib.request.Request(open_server.url + "/multiply", data=body, method="POST")
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req, timeout=10)
+        assert err.value.code == 400
+        assert json.loads(err.value.read())["error"]["code"] == "bad_request"
+
+    def test_npy_multiply_returns_npy_and_info_header(self, open_server, client, A, B):
+        fp = client.register(A)
+        conn = _connect(open_server)
+        try:
+            resp, raw = _npy_multiply(conn, fp, B)
+        finally:
+            conn.close()
+        assert resp.status == 200
+        assert resp.getheader("Content-Type") == NPY_CONTENT_TYPE
+        info = json.loads(resp.getheader(INFO_HEADER))
+        assert {"cache_hit", "wall_ms", "report"} <= set(info)
+        np.testing.assert_allclose(decode_npy(raw), SMaT(A).multiply(B), rtol=1e-4, atol=1e-5)
+
+    def test_json_accept_gets_packed_json(self, open_server, client, A, B):
+        fp = client.register(A)
+        conn = _connect(open_server)
+        try:
+            resp, raw = _npy_multiply(conn, fp, B, accept="application/json")
+        finally:
+            conn.close()
+        assert resp.getheader("Content-Type") == "application/json"
+        payload = json.loads(raw)
+        np.testing.assert_allclose(
+            decode_array(payload["C"]), SMaT(A).multiply(B), rtol=1e-4, atol=1e-5
+        )
+
+    @pytest.mark.parametrize("name", list(BAD_NPY) + ["missing_fingerprint", "bad_config"])
+    def test_bad_npy_request_is_400_and_connection_survives(self, open_server, client, A, B, name):
+        fp = client.register(A)
+        body, query = BAD_NPY.get(name, encode_npy(B)), {"fingerprint": fp}
+        if name == "missing_fingerprint":
+            query = {}
+        elif name == "bad_config":
+            query = {"fingerprint": fp, "config": "{not json"}
+        conn = _connect(open_server)
+        try:
+            resp, raw = _npy_multiply(conn, fp, body, query=query)
+            assert resp.status == 400
+            assert resp.getheader("Content-Type") == "application/json"
+            assert json.loads(raw)["error"]["code"] == "bad_request"
+            resp, raw = _npy_multiply(conn, fp, B)  # same connection
+            assert resp.status == 200
+            np.testing.assert_allclose(decode_npy(raw), SMaT(A).multiply(B), rtol=1e-4, atol=1e-5)
+        finally:
+            conn.close()
+
+    def test_big_endian_operand_gives_the_native_result(self, client, A, B):
+        fp = client.register(A)
+        C_native, _ = client.multiply(fp, B)
+        C_big, _ = client.multiply(fp, B.astype(">f4"))
+        np.testing.assert_array_equal(C_big, C_native)
+
+    def test_oversized_content_length_is_413_before_the_body(self):
+        with SpMMServer(policy=ExecutionPolicy(max_workers=1), max_body_bytes=1024) as server:
+            conn = _connect(server)
+            try:
+                # announce 100 MiB but send none of it: the 413 must not
+                # wait for the body, and the connection is then dropped
+                conn.putrequest("POST", "/multiply?fingerprint=x")
+                conn.putheader("Content-Type", NPY_CONTENT_TYPE)
+                conn.putheader("Content-Length", str(100 * 1024 * 1024))
+                conn.endheaders()
+                resp = conn.getresponse()
+                assert resp.status == 413
+                assert json.loads(resp.read())["error"]["code"] == "payload_too_large"
+                assert resp.getheader("Connection") == "close"
+            finally:
+                conn.close()
+            conn = _connect(server)
+            try:
+                # a small oversized body is drained: the connection survives
+                resp, raw = _npy_multiply(conn, "x", bytes(4096))
+                assert resp.status == 413
+                resp, raw = _npy_multiply(conn, "0" * 32, np.ones((2, 2), np.float32))
+                assert resp.status == 404  # reached the handler on the same connection
+            finally:
+                conn.close()
+
+
+class TestKeepAlive:
+    def test_requests_share_one_connection(self, A, B):
+        with SpMMServer(policy=ExecutionPolicy(max_workers=1)) as server:
+            with SpMMClient(server.url) as client:
+                fp = client.register(A)
+                for _ in range(5):
+                    client.multiply(fp, B)
+                assert len(server._httpd._connections) == 1
+
+    def test_threads_share_one_client(self, A):
+        rng = np.random.default_rng(11)
+        operands = [rng.standard_normal((A.ncols, 4)).astype(np.float32) for _ in range(4)]
+        expected = [SMaT(A).multiply(Bi) for Bi in operands]
+        failures = []
+        # admit all four at once: a queued request could time out into a 429
+        with SpMMServer(policy=ExecutionPolicy(max_workers=4)) as server:
+            with SpMMClient(server.url) as client:
+                fp = client.register(A)
+
+                def work(i):
+                    try:
+                        for _ in range(10):
+                            C, _ = client.multiply(fp, operands[i])
+                            if not np.allclose(C, expected[i], rtol=1e-4, atol=1e-5):
+                                failures.append(f"thread {i}: wrong C")
+                    except Exception as exc:  # reported by the assertion below
+                        failures.append(f"thread {i}: {exc!r}")
+
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-5)  # interleave the threads finely
+                try:
+                    for t in threads:
+                        t.start()
+                    for t in threads:
+                        t.join(timeout=60)
+                finally:
+                    sys.setswitchinterval(interval)
+                assert not any(t.is_alive() for t in threads)
+                assert len(client._connections) == 5  # the main thread's + one per worker
+        assert failures == []
+
+    def test_reconnects_after_the_server_drops_the_connection(self, A, B):
+        with SpMMServer(policy=ExecutionPolicy(max_workers=1)) as server:
+            with SpMMClient(server.url) as client:
+                fp = client.register(A)
+                C, _ = client.multiply(fp, B)
+                server._httpd.close_connections(timeout=5.0)
+                assert _wait_for(lambda: not server._httpd._connections)
+                C2, info = client.multiply(fp, B)  # the kept-alive socket is dead
+                np.testing.assert_array_equal(C2, C)
+                assert info["cache_hit"]
+
+    def test_abandoned_stream_leaves_the_client_usable(self, client, A, B):
+        fp = client.register(A)
+        results = client.stream(fp, [B, B, B])
+        next(results)
+        results.close()
+        C, _ = client.multiply(fp, B)
+        np.testing.assert_allclose(C, SMaT(A).multiply(B), rtol=1e-4, atol=1e-5)
+
+    def test_job_backlog_429_carries_retry_after(self, A, B):
+        with SpMMServer(policy=ExecutionPolicy(max_workers=1), max_pending_jobs=0) as server:
+            with SpMMClient(server.url) as client:
+                fp = client.register(A)
+                with pytest.raises(ServeClientError) as err:
+                    client.submit(fp, B)
+                assert err.value.status == 429 and err.value.retry_after is not None
+                assert client.health()["status"] == "ok"  # same connection, still usable
+
+    def test_client_close_ends_its_connections(self):
+        with SpMMServer(policy=ExecutionPolicy(max_workers=1)) as server:
+            with SpMMClient(server.url) as client:
+                client.health()
+                assert _wait_for(lambda: len(server._httpd._connections) == 1)
+            assert _wait_for(lambda: not server._httpd._connections)
+            assert client.health()["status"] == "ok"  # reopens on demand
+            client.close()
+
+    def test_close_ends_idle_kept_alive_connections(self):
+        server = SpMMServer(policy=ExecutionPolicy(max_workers=1)).start()
+        client = SpMMClient(server.url)
+        before = set(threading.enumerate())
+        client.health()  # leaves one idle handler thread behind
+        handlers = set(threading.enumerate()) - before
+        assert handlers
+        start = time.perf_counter()
+        server.close()
+        assert time.perf_counter() - start < 5.0
+        assert not [t for t in handlers if t.is_alive()]
+        client.close()
 
 
 class TestAuthOverHTTP:
