@@ -5,7 +5,10 @@ Two claims of the sharded subsystem are gated here:
 * **no tax on balanced matrices** -- on a structurally uniform matrix
   (``cant``), where one plan is already the sweet spot, the sharded
   scatter-gather path must keep at least 0.9x of the single-plan warm
-  throughput (in practice the thread-pooled shards come out ahead);
+  throughput.  Shards run one after another in the caller's thread; on a
+  2-vCPU host, single/sharded warm host wall time (min of 40-60
+  interleaved rounds) read 0.73-0.76 at scale 0.05 and 0.78-0.80 at
+  0.12, so this gate fails;
 * **per-shard tuning pays on skewed matrices** -- on a block-diagonal
   matrix whose two blocks favour *different* configurations (a scattered
   hidden-cluster block vs a lattice block band), the nnz-balanced

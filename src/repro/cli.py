@@ -50,7 +50,6 @@ from .analysis import format_table
 from .cli_args import (
     KERNEL_CHOICES,
     add_batch_arg,
-    add_executor_arg,
     add_grid_arg,
     add_shard_mode_arg,
     add_trace_arg,
@@ -122,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_batch_arg(p_engine)
     add_workers_arg(p_engine)
-    add_executor_arg(p_engine)
     p_engine.add_argument(
         "--cache-size", type=_positive_int, default=8, help="plan-cache capacity"
     )
@@ -186,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=_positive_int, default=8, help="columns of the dense operand B"
     )
     add_workers_arg(p_shard)
-    add_executor_arg(p_shard)
     p_shard.add_argument(
         "--tune",
         action="store_true",
@@ -217,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=_positive_int, default=16, help="GCN feature width / smoother RHS count"
     )
     add_workers_arg(p_work)
-    add_executor_arg(p_work)
     p_work.add_argument(
         "--kernel",
         choices=KERNEL_CHOICES,
@@ -266,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=_positive_int, default=16, help="GCN feature width / smoother RHS count"
     )
     add_workers_arg(p_trace)
-    add_executor_arg(p_trace)
     p_trace.add_argument(
         "--kernel",
         choices=KERNEL_CHOICES,
@@ -308,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8942, help="bind port (0 picks an ephemeral port)"
     )
     add_workers_arg(p_serve)
-    add_executor_arg(p_serve)
     p_serve.add_argument(
         "--cache-size", type=_positive_int, default=32, help="plan-cache capacity"
     )

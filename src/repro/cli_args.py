@@ -3,8 +3,8 @@
 Every subcommand used to carry its own copy of the ``--workers`` /
 ``--batch`` / ``--grid`` definitions, so adding one execution flag meant
 editing five parsers.  This module is the single source of those
-validators and of the execution flag group (``--workers`` +
-``--executor``), and it owns the one mapping from parsed arguments to an
+validators and of the execution flags (``--workers``, ``--grid``,
+``--mode``, ``--trace``), and it owns the one mapping from parsed arguments to an
 :class:`~repro.core.policy.ExecutionPolicy` -- the CLI's half of the
 policy API.
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 from typing import Optional
 
-from .core.policy import EXECUTOR_KINDS, ExecutionPolicy
+from .core.policy import ExecutionPolicy
 from .shard.partition import PARTITION_MODES
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "grid_type",
     "damping_type",
     "positive_int",
-    "add_executor_arg",
     "add_workers_arg",
     "add_batch_arg",
     "add_grid_arg",
@@ -93,24 +92,7 @@ def add_workers_arg(parser: argparse.ArgumentParser, *, default: int = 4) -> Non
         "--workers",
         type=positive_int,
         default=default,
-        help="engine worker pool width (threads, or processes with --executor process)",
-    )
-
-
-def add_executor_arg(parser: argparse.ArgumentParser) -> None:
-    """The ``--executor`` flag: thread pool vs shared-memory process pool.
-
-    The default is ``None`` so the engine falls back to the
-    ``REPRO_EXECUTOR`` environment variable (and then to ``thread``),
-    keeping CLI runs overridable from CI without editing commands.
-    """
-    parser.add_argument(
-        "--executor",
-        choices=EXECUTOR_KINDS,
-        default=None,
-        help="shard execution backend: 'thread' (in-process pool) or 'process' "
-        "(shared-memory process pool, escapes the GIL); default: "
-        "$REPRO_EXECUTOR or 'thread'",
+        help="engine worker pool width (threads serving batches, async jobs and streams)",
     )
 
 
@@ -164,7 +146,7 @@ def add_trace_arg(parser: argparse.ArgumentParser) -> None:
 def policy_from_args(args: argparse.Namespace, **overrides) -> ExecutionPolicy:
     """The :class:`ExecutionPolicy` described by parsed CLI arguments.
 
-    Reads whichever of ``--executor`` / ``--workers`` / ``--tune`` /
+    Reads whichever of ``--workers`` / ``--tune`` /
     ``--sharded`` / ``--grid`` / ``--mode`` / ``--trace`` the subcommand
     defined (absent flags keep the policy defaults); ``overrides`` win
     over both.
@@ -176,8 +158,6 @@ def policy_from_args(args: argparse.Namespace, **overrides) -> ExecutionPolicy:
         fields["obs"] = ObservabilityConfig(
             tracing=True, sample_rate=float(getattr(args, "sample_rate", None) or 1.0)
         )
-    if getattr(args, "executor", None) is not None:
-        fields["executor"] = args.executor
     if getattr(args, "workers", None) is not None:
         fields["max_workers"] = args.workers
     if getattr(args, "tune", None) is not None:

@@ -3,17 +3,15 @@ library comparison harness."""
 
 from .comparison import DEFAULT_LIBRARIES, LibraryMeasurement, compare_libraries
 from .config import SMaTConfig
-from .policy import EXECUTOR_KINDS, ExecutionPolicy
+from .policy import ExecutionPolicy
 from .perfmodel import FitResult, LinearPerformanceModel, block_count_bounds
-from .plan import ExecutionPlan, PlanSpec, config_signature, matrix_fingerprint, plan_key
+from .plan import ExecutionPlan, config_signature, matrix_fingerprint, plan_key
 from .smat import MultiplyReport, PreprocessReport, SMaT
 
 __all__ = [
     "SMaT",
     "SMaTConfig",
     "ExecutionPolicy",
-    "EXECUTOR_KINDS",
-    "PlanSpec",
     "ExecutionPlan",
     "PreprocessReport",
     "MultiplyReport",

@@ -44,7 +44,6 @@ __all__ = [
     "PreprocessReport",
     "MultiplyReport",
     "build_with_fallback",
-    "PlanSpec",
     "matrix_fingerprint",
     "config_signature",
     "plan_key",
@@ -446,29 +445,3 @@ def build_with_fallback(
         plan.report.fallback_error = str(exc)
         return plan
 
-
-@dataclass(frozen=True)
-class PlanSpec:
-    """Picklable recipe for rebuilding a plan in another process.
-
-    An :class:`ExecutionPlan` itself never crosses a process boundary --
-    it closes over kernel instances, reordering state and matrix views.
-    What *does* travel is this spec: the (picklable) configuration plus
-    whether tuning applies.  A worker that holds the matrix data (e.g.
-    attached through shared memory) calls :meth:`build` to reconstruct an
-    equivalent plan locally, resolving tuning through its own tuner
-    (normally warmed from the persistent tuning cache).
-    """
-
-    config: SMaTConfig
-    #: resolve the configuration through a tuner before building
-    tuned: bool = False
-
-    def signature(self) -> Tuple:
-        """The spec's :func:`config_signature` (worker plan-cache key)."""
-        return config_signature(self.config)
-
-    def build(self, A: CSRMatrix, *, tuner=None) -> ExecutionPlan:
-        """Rebuild the plan for ``A`` via :func:`build_with_fallback`;
-        ``tuner`` is consulted only when the spec says :attr:`tuned`."""
-        return build_with_fallback(A, self.config, tuner=tuner if self.tuned else None)

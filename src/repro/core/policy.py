@@ -2,9 +2,7 @@
 
 :class:`ExecutionPolicy` is the one frozen value object that carries the
 execution knobs (pool width, tuning, sharded routing, telemetry window,
-tracing) and which *executor* runs sharded work -- the in-process thread
-pool (``"thread"``) or the GIL-escaping shared-memory process pool
-(``"process"``).  :class:`~repro.engine.SpMMEngine`,
+tracing).  :class:`~repro.engine.SpMMEngine`,
 :class:`~repro.shard.ShardedSpMM`, every workload function,
 ``SpMMServer`` and the CLI subcommands take it as ``policy=``; it is the
 only way to set these options.
@@ -13,40 +11,12 @@ only way to set these options.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from ..obs.config import ObservabilityConfig
 
-__all__ = [
-    "EXECUTOR_KINDS",
-    "ExecutionPolicy",
-    "default_executor",
-]
-
-#: executors selectable via ``ExecutionPolicy(executor=...)`` / ``--executor``
-EXECUTOR_KINDS = ("thread", "process")
-
-#: environment variable that picks the executor when the policy leaves it
-#: ``None`` (the hook the CI process-mode job variant uses)
-EXECUTOR_ENV = "REPRO_EXECUTOR"
-
-
-def default_executor() -> str:
-    """Executor used when a policy does not name one.
-
-    Resolves ``$REPRO_EXECUTOR`` at call time (not at policy
-    construction), so one policy value behaves identically across
-    environments and the CI job variant can flip a whole test suite to
-    the process pool without touching code.
-    """
-    kind = os.environ.get(EXECUTOR_ENV, "").strip() or "thread"
-    if kind not in EXECUTOR_KINDS:
-        raise ValueError(
-            f"${EXECUTOR_ENV} must be one of {EXECUTOR_KINDS}, got {kind!r}"
-        )
-    return kind
+__all__ = ["ExecutionPolicy"]
 
 
 @dataclass(frozen=True)
@@ -58,10 +28,11 @@ class ExecutionPolicy:
     subcommands.
     """
 
-    #: ``"thread"``, ``"process"``, or ``None`` = resolve from
-    #: ``$REPRO_EXECUTOR`` (default ``"thread"``) at use time
+    #: only ``None`` or ``"thread"``: shards always run in the caller's
+    #: thread and the process executor was removed; a later benchmark
+    #: change drops it
     executor: Optional[str] = None
-    #: pool width -- engine worker threads, or process-pool workers
+    #: engine worker threads behind ``submit``/``stream``/``multiply_batch``
     max_workers: int = 4
     #: build plans through the auto-tuner (persistent tuning cache)
     tune: bool = False
@@ -80,9 +51,10 @@ class ExecutionPolicy:
     online_tune: None = None
 
     def __post_init__(self) -> None:
-        if self.executor is not None and self.executor not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"executor must be one of {EXECUTOR_KINDS} or None, got {self.executor!r}"
+        if self.executor not in (None, "thread"):
+            raise TypeError(
+                "the process executor was removed; executor must be None or "
+                f"'thread', got {self.executor!r}"
             )
         if int(self.max_workers) < 1:
             raise ValueError(f"max_workers must be >= 1, got {self.max_workers!r}")
@@ -107,12 +79,11 @@ class ExecutionPolicy:
                 f"online tuning was removed; online_tune must be None, got {self.online_tune!r}"
             )
 
+    # kept for existing callers; a later benchmark change drops both
     def resolved_executor(self) -> str:
-        """The concrete executor kind: :attr:`executor` or the
-        ``$REPRO_EXECUTOR`` / ``"thread"`` default."""
-        return self.executor if self.executor is not None else default_executor()
+        """Always ``"thread"``: the only remaining executor."""
+        return "thread"
 
-    # kept for existing callers; a later benchmark change drops it
     def resolved_online_tune(self) -> None:
         """Always ``None``: online tuning was removed."""
         return None

@@ -24,7 +24,6 @@ Quick start
 
 from ..core.policy import ExecutionPolicy
 from .cache import CacheStats, PlanCache
-from .executors import ExecutorTelemetry, ProcessShardExecutor, ShardExecutor, ThreadShardExecutor
 from .engine import (
     BatchItem,
     BatchOutcome,
@@ -37,10 +36,6 @@ from .engine import (
 __all__ = [
     "SpMMEngine",
     "ExecutionPolicy",
-    "ShardExecutor",
-    "ThreadShardExecutor",
-    "ProcessShardExecutor",
-    "ExecutorTelemetry",
     "BatchItem",
     "BatchResult",
     "BatchSummary",

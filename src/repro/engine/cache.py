@@ -143,16 +143,6 @@ class PlanCache:
         with self._lock:
             self._data.clear()
 
-    def keys(self) -> list:
-        """Snapshot of the cached keys, LRU-oldest first.
-
-        Introspection for tests and telemetry -- e.g. verifying that the
-        process shard executor keeps plans in its *workers* (no shard
-        plan keys appear here) while the thread executor shares this
-        cache."""
-        with self._lock:
-            return list(self._data.keys())
-
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
             return key in self._data

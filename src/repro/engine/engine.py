@@ -20,9 +20,9 @@ the engine
 
 How the engine executes is described by one frozen
 :class:`~repro.core.policy.ExecutionPolicy` value -- pool width, tuning,
-sharding defaults, and (new) which *executor* runs sharded work: the
-in-process thread pool or the GIL-escaping shared-memory process pool
-(:mod:`repro.engine.executors`).
+sharding defaults and telemetry window.  Sharded multiplies run their
+shards one after another in the calling thread
+(:func:`repro.shard.executor.execute_partition`).
 
 Example
 -------
@@ -65,7 +65,6 @@ from ..core.policy import ExecutionPolicy
 from ..formats import CSRMatrix
 from ..obs import MetricsRegistry, Tracer
 from .cache import CacheStats, PlanCache
-from .executors import ExecutorTelemetry, ShardExecutor, make_shard_executor
 
 __all__ = [
     "BatchItem",
@@ -159,10 +158,6 @@ class EngineTelemetry:
     mean_ms: float
     p50_ms: float
     p99_ms: float
-    #: shard-executor counters (per-worker shard loads, placement
-    #: imbalance, shared-memory bytes, tuning warmup hits); present even
-    #: before the first sharded call (zeros for the policy's executor)
-    executor: Optional[ExecutorTelemetry] = None
 
 
 #: work accepted by :meth:`SpMMEngine.multiply_batch`
@@ -179,8 +174,7 @@ class SpMMEngine:
         individual :class:`BatchItem`\\ s may override it.
     policy:
         The :class:`~repro.core.policy.ExecutionPolicy`: pool width,
-        tuning, shard-executor choice (``"thread"`` / ``"process"``),
-        sharding defaults and telemetry window.  Defaults to
+        tuning, sharding defaults and telemetry window.  Defaults to
         ``ExecutionPolicy()`` (4 thread workers, no tuning).
     cache_size:
         Capacity of the plan LRU (distinct (matrix, config) pairs kept
@@ -220,7 +214,7 @@ class SpMMEngine:
             tuner = Tuner(cache=tuning_cache)
         self.tuner = tuner
         #: the engine's tracer, built from ``policy.obs`` (no-op unless the
-        #: policy enables tracing); shared with the tuner and shard executor
+        #: policy enables tracing); shared with the tuner and sharded runs
         self.tracer = Tracer.from_config(policy.obs)
         if tuner is not None and getattr(tuner, "tracer", None) is not None:
             if self.tracer.enabled and not tuner.tracer.enabled:
@@ -235,7 +229,6 @@ class SpMMEngine:
         )
         self._cache = PlanCache(cache_size)
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._sharder: Optional[ShardExecutor] = None
         self._tickets: Dict[int, "Future[BatchResult]"] = {}
         self._ticket_lock = threading.Lock()
         self._next_ticket = 0
@@ -472,39 +465,27 @@ class SpMMEngine:
         partition, _ = self._cache.get_or_build(key, _build_partition)
         return partition
 
-    @property
-    def shard_executor(self) -> ShardExecutor:
-        """The policy-selected :class:`~repro.engine.executors.ShardExecutor`
-        (created lazily on the first sharded call: the process pool is
-        only paid for when sharded work actually runs)."""
-        self._require_open()
-        if self._sharder is None:
-            self._sharder = make_shard_executor(
-                self.policy.resolved_executor(),
-                cache=self._cache,
-                tuner=self.tuner,
-                pool_provider=self._pool_for,
-                max_workers=self.max_workers,
-                tracer=self.tracer,
-            )
-        return self._sharder
-
     def shard_plans_for(self, partition, config: Optional[SMaTConfig] = None):
-        """One :class:`~repro.shard.ShardPlanEntry` per shard, prepared by
-        the policy's shard executor: through the engine's plan cache on
-        the thread executor, in per-worker caches on the process
-        executor.  Per-shard tuning applies when the engine tunes."""
+        """One :class:`~repro.shard.ShardPlanEntry` per shard, built (or
+        fetched) through the engine's plan cache.  Per-shard tuning
+        applies when the engine tunes."""
+        from ..shard.plan import ShardPlanner
+
         self._require_open()
         cfg = (config or self.config).validate()
         with self.tracer.span("shard.prepare", n_shards=len(partition.shards)):
-            return self.shard_executor.prepare(partition, cfg)
+            return ShardPlanner(self._cache, tuner=self.tuner).plans_for(partition, cfg)
 
     def execute_sharded(self, partition, entries, B: np.ndarray):
-        """Scatter-gather one sharded multiply on the policy's shard
-        executor; returns ``(C, ShardedReport)``."""
+        """Scatter-gather one sharded multiply in the calling thread;
+        returns ``(C, ShardedReport)``."""
+        # looked up per call, like make_partition in partition_for, so a
+        # wrapper installed on the module attribute sees every call
+        from ..shard.executor import execute_partition
+
         self._require_open()
         with self.tracer.span("shard.execute", n_shards=len(partition.shards)) as span:
-            C, report = self.shard_executor.execute(partition, entries, B)
+            C, report = execute_partition(partition, entries, B, tracer=self.tracer)
             span.set(wall_ms=round(report.wall_ms, 3))
             return C, report
 
@@ -523,8 +504,7 @@ class SpMMEngine:
         ``A`` is split into a balanced shard grid
         (:mod:`repro.shard.partition`), every shard gets its own cached
         (and, when tuning, per-shard tuned) plan, and the shard runs are
-        scatter-gathered on the policy's executor -- the engine's thread
-        pool, or the shared-memory process pool.  ``grid`` and ``mode``
+        scatter-gathered in the calling thread.  ``grid`` and ``mode``
         default to the policy's ``grid`` / ``shard_mode``.  With
         ``return_report`` the per-shard breakdown
         (:class:`~repro.shard.ShardedReport`) is returned alongside ``C``.
@@ -535,24 +515,13 @@ class SpMMEngine:
         cfg = (config or self.config).validate()
         B_arr = np.asarray(B)
         n_cols = B_arr.shape[1] if B_arr.ndim == 2 else 1
-        with self.tracer.span(
-            "engine.multiply_sharded",
-            grid=str(grid),
-            mode=mode,
-            executor=self.policy.resolved_executor(),
-        ):
+        with self.tracer.span("engine.multiply_sharded", grid=str(grid), mode=mode):
             partition = self.partition_for(A, grid, mode=mode, config=cfg, n_cols=n_cols)
             entries = self.shard_plans_for(partition, cfg)
             C, report = self.execute_sharded(partition, entries, B)
         if not return_report:
             return C
         return C, report
-
-    def _pool_for(self, n_tasks: int) -> Optional[ThreadPoolExecutor]:
-        """The worker pool, or ``None`` when concurrency cannot help."""
-        if self.max_workers <= 1 or n_tasks <= 1:
-            return None
-        return self._ensure_executor()
 
     # -- async queue API ------------------------------------------------------
     def submit(
@@ -604,9 +573,8 @@ class SpMMEngine:
             return sum(1 for f in self._tickets.values() if not f.done())
 
     def telemetry(self) -> EngineTelemetry:
-        """Operational snapshot: items completed, async queue depth,
-        latency percentiles over the recent-latency window, and the
-        shard-executor counters (zeros until the first sharded call)."""
+        """Operational snapshot: items completed, async queue depth and
+        latency percentiles over the recent-latency window."""
         completed = self._latency.count
         if completed:
             mean_ms = self._latency.mean()
@@ -614,19 +582,12 @@ class SpMMEngine:
             p99_ms = self._latency.percentile(99)
         else:
             mean_ms = p50_ms = p99_ms = 0.0
-        if self._sharder is not None:
-            executor_stats = self._sharder.telemetry()
-        else:  # not yet created: an all-zeros stub for the policy's kind
-            executor_stats = ExecutorTelemetry(
-                kind=self.policy.resolved_executor(), workers=self.max_workers
-            )
         return EngineTelemetry(
             completed=completed,
             queue_depth=self.queue_depth(),
             mean_ms=mean_ms,
             p50_ms=p50_ms,
             p99_ms=p99_ms,
-            executor=executor_stats,
         )
 
     # -- streaming ------------------------------------------------------------
@@ -678,16 +639,12 @@ class SpMMEngine:
         return self._executor
 
     def close(self) -> None:
-        """Shut down the worker pool and the shard executor (idempotent).
-        Cached plans survive until the engine is garbage collected; the
-        process executor's shared-memory segments are unlinked here."""
+        """Shut down the worker pool (idempotent).  Cached plans survive
+        until the engine is garbage collected."""
         self._closed = True
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        if self._sharder is not None:
-            self._sharder.close()
-            self._sharder = None
 
     def __enter__(self) -> "SpMMEngine":
         return self

@@ -1,7 +1,7 @@
 """Observability: span tracing, unified metrics, Prometheus + Chrome export.
 
 This package is a stdlib-only leaf — it imports nothing from the rest of
-``repro`` so every layer (core, engine, executors, serve, CLI) can depend
+``repro`` so every layer (core, engine, shard, serve, CLI) can depend
 on it without cycles.  See ``docs/observability.md`` for the guided tour.
 """
 

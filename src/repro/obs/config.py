@@ -1,8 +1,7 @@
 """Observability configuration that rides on :class:`~repro.core.policy.ExecutionPolicy`.
 
 ``ObservabilityConfig`` is a frozen, hashable, picklable value object so it
-can live on the (also frozen) execution policy and cross the process-pool
-boundary without ceremony.  Tracing is **off by default**: a policy without
+can live on the (also frozen) execution policy.  Tracing is **off by default**: a policy without
 an explicit ``obs`` field costs one attribute check per instrumented seam.
 """
 

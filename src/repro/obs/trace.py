@@ -1,4 +1,4 @@
-"""Span-based tracing: nested wall/CPU-timed spans that survive process hops.
+"""Span-based tracing: nested wall/CPU-timed spans linked across threads.
 
 The model is deliberately small:
 
@@ -7,10 +7,8 @@ The model is deliberately small:
 * A :class:`Tracer` hands out spans as context managers, keeps per-thread
   nesting on a thread-local stack, samples at trace roots with a
   deterministic stride, and buffers finished spans (bounded deque).
-* A :class:`SpanContext` is the picklable ``(trace_id, span_id)`` pair used
-  to link spans across threads and across the process-pool boundary; worker
-  processes record their own spans and ship them home as dicts, which the
-  host tracer :meth:`~Tracer.ingest`\\ s to stitch one coherent trace.
+* A :class:`SpanContext` is the ``(trace_id, span_id)`` pair used to link
+  spans recorded on pool threads to the span that submitted the work.
 
 A disabled tracer is a **provable no-op**: ``span()`` returns one shared,
 stateless context manager object (no allocation, no locking), and every
@@ -24,7 +22,7 @@ import threading
 import time
 import uuid
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .config import ObservabilityConfig
 
@@ -132,45 +130,6 @@ class Span:
         self.wall_ms = (time.perf_counter() - self._perf0) * 1e3
         self.cpu_ms = (time.thread_time() - self._cpu0) * 1e3
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialise a *finished* span for transport across processes."""
-        return {
-            "name": self.name,
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "pid": self.pid,
-            "tid": self.tid,
-            "status": self.status,
-            "error": self.error,
-            "attrs": dict(self.attrs),
-            "start_s": self.start_s,
-            "wall_ms": self.wall_ms,
-            "cpu_ms": self.cpu_ms,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Span":
-        """Rebuild a finished span from :meth:`to_dict` output."""
-        span = cls.__new__(cls)
-        span.name = str(data["name"])
-        span.trace_id = str(data["trace_id"])
-        span.span_id = str(data["span_id"])
-        parent = data.get("parent_id")
-        span.parent_id = None if parent is None else str(parent)
-        span.pid = int(data.get("pid", 0))
-        span.tid = int(data.get("tid", 0))
-        span.status = str(data.get("status", "ok"))
-        error = data.get("error")
-        span.error = None if error is None else str(error)
-        span.attrs = dict(data.get("attrs") or {})
-        span.start_s = float(data.get("start_s", 0.0))
-        span.wall_ms = float(data.get("wall_ms", 0.0))
-        span.cpu_ms = float(data.get("cpu_ms", 0.0))
-        span._perf0 = 0.0
-        span._cpu0 = 0.0
-        return span
-
     def __repr__(self) -> str:
         """Compact debugging representation."""
         return (
@@ -274,8 +233,8 @@ class Tracer:
     """Factory and buffer for spans; thread-safe, sampling at trace roots.
 
     Nesting is implicit per thread: a span opened while another is open on
-    the same thread becomes its child.  Work crossing threads or processes
-    passes an explicit ``parent=`` (a :class:`SpanContext` captured via
+    the same thread becomes its child.  Work crossing threads passes an
+    explicit ``parent=`` (a :class:`SpanContext` captured via
     :meth:`current_context`).  Sampling is a deterministic stride over root
     spans — unsampled roots push a null marker so their whole subtree skips
     recording without re-deciding.
@@ -380,7 +339,7 @@ class Tracer:
         """Context of this thread's innermost recording span, else ``None``.
 
         This is what callers capture before handing work to another thread
-        or process so the far side can link child spans back.
+        so the far side can link child spans back.
         """
         if not self.enabled:
             return None
@@ -401,22 +360,6 @@ class Tracer:
             spans = list(self._finished)
             self._finished.clear()
             return spans
-
-    def ingest(self, span_dicts: Iterable[Dict[str, Any]]) -> int:
-        """Stitch spans recorded elsewhere (e.g. pool workers) into the buffer.
-
-        Accepts :meth:`Span.to_dict` payloads; returns how many were added.
-        Disabled tracers ignore the payload.
-        """
-        if not self.enabled:
-            return 0
-        spans = [Span.from_dict(d) for d in span_dicts]
-        with self._lock:
-            for span in spans:
-                if len(self._finished) == self._finished.maxlen:
-                    self._dropped += 1
-                self._finished.append(span)
-        return len(spans)
 
     def open_spans(self) -> List[Span]:
         """Spans started but not yet finished (should be empty at rest)."""

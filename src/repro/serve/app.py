@@ -161,8 +161,7 @@ class SpMMServer:
         ``engine`` is not given.
     policy:
         :class:`~repro.core.policy.ExecutionPolicy` of the owned engine:
-        worker-pool width, tuning, and the thread-vs-process shard
-        executor behind sharded queries.
+        worker-pool width and tuning.
     tokens:
         ``{token: Tenant-or-name}`` auth map; empty means **open mode**
         (a single shared anonymous tenant).

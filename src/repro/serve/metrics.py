@@ -151,21 +151,6 @@ class ServerMetrics:
                 "p50_ms": telemetry.p50_ms,
                 "p99_ms": telemetry.p99_ms,
             }
-            executor = telemetry.executor
-            if executor is not None:
-                doc["engine"]["executor"] = {
-                    "kind": executor.kind,
-                    "workers": executor.workers,
-                    "sessions": executor.sessions,
-                    "shards_executed": executor.shards_executed,
-                    # JSON object keys are strings; keep worker ids readable
-                    "per_worker_shards": {
-                        str(k): v for k, v in sorted(executor.per_worker_shards.items())
-                    },
-                    "placement_imbalance": executor.placement_imbalance,
-                    "segment_bytes": executor.segment_bytes,
-                    "warmup_hits": executor.warmup_hits,
-                }
         if registry is not None:
             doc["matrices_registered"] = registry.count()
         return doc

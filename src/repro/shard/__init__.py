@@ -6,7 +6,7 @@ holds *within* one large matrix too.  This subsystem splits a matrix into
 a balanced grid of shards, prepares (and caches) one
 :class:`~repro.core.plan.ExecutionPlan` per shard -- each with its own
 reordering and, through the tuner, its own block shape -- and
-scatter-gathers the shard runs on the engine's thread pool:
+scatter-gathers the shard runs in the calling thread:
 
 * :mod:`~repro.shard.partition` -- greedy nnz-balanced and Eq.1
   cost-model-guided 1D row-panel / 2D grid partitions;

@@ -2,24 +2,23 @@
 
 Each shard multiplies its submatrix by the matching column range of ``B``
 (scatter); the per-shard results are assembled into the full ``C``
-(gather):
+(gather).  ``C`` is allocated once and every shard writes its own row
+slice of it in place:
 
-* **row panels** (one column panel) write disjoint row ranges of ``C``
-  and simply concatenate;
-* **2D grids** produce partial products per row panel that are
-  *stream-reduced*: each cell's contribution is added into ``C`` under a
-  per-row-panel lock as soon as it completes, so no per-cell partial
-  matrices accumulate in memory.
+* **row panels** (one column panel) assign disjoint row ranges of ``C``;
+* **2D grids** ``+=`` each cell's partial product into its row panel's
+  slice as soon as the cell completes, so no per-cell partial matrices
+  accumulate in memory.
 
-Shards run concurrently on a thread pool (normally the engine's); plan
-execution is read-only, so any worker count is safe.  The per-shard
-breakdown is reported as :class:`ShardReport` rows inside a
+Shards run one after another in the caller's thread: the speedups of
+sharding are in simulated device time (per-shard tuning, the
+device-parallel critical path), which a host pool does not change.  The
+per-shard breakdown is reported as :class:`ShardReport` rows inside a
 :class:`ShardedReport`.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
@@ -143,19 +142,14 @@ def execute_partition(
     entries: Sequence[ShardPlanEntry],
     B: np.ndarray,
     *,
-    executor=None,
     tracer=None,
-    parent=None,
 ) -> Tuple[np.ndarray, ShardedReport]:
     """Run every shard against ``B`` and gather the full ``C = A @ B``.
 
     ``entries`` must correspond one-to-one (and in order) to
-    ``partition.shards``; ``executor`` is an optional
-    ``concurrent.futures`` executor for concurrent shard runs.
-    ``tracer``/``parent`` (a :class:`repro.obs.Tracer` and the caller's
-    span context) record one ``shard.run`` span per non-empty shard --
-    ``parent`` is explicit because shards run on pool threads whose span
-    stacks are empty.
+    ``partition.shards``.  ``tracer`` (a :class:`repro.obs.Tracer`)
+    records one ``shard.run`` span per non-empty shard, nested under the
+    caller's current span.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     A = partition.A
@@ -173,36 +167,27 @@ def execute_partition(
     out_dtype = np.result_type(A.dtype, B_arr.dtype, np.float32)
     C = np.zeros((A.nrows, B_arr.shape[1]), dtype=out_dtype)
     multi_panel = partition.grid[1] > 1
-    # one gather lock per row panel: cells of a row panel stream-reduce
-    # into the same row range, cells of different panels never contend
-    panel_locks = [threading.Lock() for _ in range(partition.grid[0])]
     ideal_nnz = A.nnz / len(partition.shards) if partition.shards else 0.0
 
-    def run_one(entry: ShardPlanEntry) -> ShardReport:
-        """Execute one shard and gather its panel into ``C``."""
+    start = time.perf_counter()
+    reports = []
+    for entry in entries:
         shard = entry.shard
         if entry.plan is None:  # empty shard: contributes nothing
-            return _shard_report(entry, ideal_nnz, 0.0, 0.0, 0)
-        with tracer.span(
-            "shard.run", parent=parent, shard=shard.index, backend=entry.backend
-        ) as span:
-            start = time.perf_counter()
+            reports.append(_shard_report(entry, ideal_nnz, 0.0, 0.0, 0))
+            continue
+        with tracer.span("shard.run", shard=shard.index, backend=entry.backend) as span:
+            shard_start = time.perf_counter()
             C_sub, report = entry.plan.execute(B_arr[shard.col_start : shard.col_stop])
             if multi_panel:
-                with panel_locks[shard.pos[0]]:
-                    C[shard.row_start : shard.row_stop] += C_sub
+                C[shard.row_start : shard.row_stop] += C_sub
             else:
                 C[shard.row_start : shard.row_stop] = C_sub
-            wall_ms = 1e3 * (time.perf_counter() - start)
-            span.set(nnz=shard.nnz, wall_ms=round(wall_ms, 3))
-        return _shard_report(entry, ideal_nnz, report.simulated_ms, wall_ms, report.n_blocks)
-
-    start = time.perf_counter()
-    if executor is None or len(entries) <= 1:
-        reports = [run_one(entry) for entry in entries]
-    else:
-        futures = [executor.submit(run_one, entry) for entry in entries]
-        reports = [f.result() for f in futures]
+            shard_ms = 1e3 * (time.perf_counter() - shard_start)
+            span.set(nnz=shard.nnz, wall_ms=round(shard_ms, 3))
+        reports.append(
+            _shard_report(entry, ideal_nnz, report.simulated_ms, shard_ms, report.n_blocks)
+        )
     wall_ms = 1e3 * (time.perf_counter() - start)
 
     if was_vector:

@@ -54,8 +54,7 @@ class ShardedSpMM:
         or ``"cost"`` (equalise Eq. 1 predicted shard cost).
     policy:
         :class:`~repro.core.policy.ExecutionPolicy` of the owned engine:
-        pool width, tuning, and whether shards run on the thread pool or
-        the shared-memory process pool.  (``grid`` and ``mode`` passed to
+        pool width and tuning.  (``grid`` and ``mode`` passed to
         this class take precedence over ``policy.grid`` and
         ``policy.shard_mode``.)
     tuner:
@@ -66,8 +65,8 @@ class ShardedSpMM:
         Path (or :class:`~repro.tuner.TuningCache`) of the owned
         engine's persistent tuning cache (implies tuning).
     engine:
-        Run through an existing engine (sharing its plan cache, tuner,
-        executor and worker pool) instead of owning a private one.
+        Run through an existing engine (sharing its plan cache and tuner)
+        instead of owning a private one.
         Execution knobs then belong to that engine (passing
         ``policy``/``tuner``/``tuning_cache`` here raises).
     n_cols:
@@ -123,7 +122,7 @@ class ShardedSpMM:
         try:
             self.preprocess()
         except BaseException:
-            # an owned engine's worker pool must not outlive a failed init
+            # an owned engine must not outlive a failed init
             self.close()
             raise
 
@@ -162,7 +161,8 @@ class ShardedSpMM:
 
     # -- execution ------------------------------------------------------------
     def multiply(self, B: np.ndarray, *, return_report: bool = False):
-        """Compute ``C = A @ B`` over the prepared shard plans.
+        """Compute ``C = A @ B`` over the prepared shard plans, one shard
+        after another in the calling thread.
 
         Returns ``C``, or ``(C, ShardedReport)`` with ``return_report``.
         """

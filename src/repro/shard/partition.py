@@ -15,7 +15,7 @@ panels so every shard can get its own reordering, tuned block shape, and
   matrix is banded or block-diagonal (a shared global column split would
   concentrate everything in the diagonal cells).  Cells of one row panel
   produce partial products over disjoint column ranges of ``B`` that the
-  executor stream-reduces.
+  gather adds into the row panel's slice of ``C``.
 
 Two balancing modes:
 

@@ -5,8 +5,8 @@ Every shard of a :class:`~repro.shard.partition.Partition` gets its own
 blocking, and (optionally, through the tuner) its own block shape.  Plans
 are built through the engine's :class:`~repro.engine.cache.PlanCache`, so
 repeated sharded queries against the same matrix skip preprocessing
-entirely and concurrent builds of the same shard deduplicate on the
-cache's per-key build lock.
+entirely, and concurrent sharded calls that build the same shard
+deduplicate on the cache's per-key build lock.
 
 Shard-aware fingerprint keys
 ----------------------------
@@ -42,7 +42,6 @@ __all__ = [
     "shard_fingerprint",
     "shard_plan_key",
     "plan_label",
-    "RemotePlanInfo",
     "ShardPlanEntry",
     "ShardPlanner",
 ]
@@ -88,45 +87,16 @@ def plan_label(plan: ExecutionPlan) -> str:
     return f"{h}x{w}/{plan.report.algorithm}"
 
 
-@dataclass(frozen=True)
-class RemotePlanInfo:
-    """Metadata of a shard plan that lives in an executor worker process.
-
-    The process executor builds plans inside its workers -- the parent
-    never holds the plan object -- so the reporting surface
-    (:attr:`ShardPlanEntry.backend` / :attr:`ShardPlanEntry.config_label`)
-    reads from this summary instead.
-    """
-
-    #: executor session the plan belongs to
-    session: str
-    #: worker index the shard is placed on (sticky for the session)
-    worker: int
-    #: execution backend chosen in the worker
-    backend: str
-    #: ``HxW/reorder`` (or bare backend) label, as :func:`plan_label`
-    config_label: str
-    #: non-zero BCSR blocks of the worker-built plan
-    blocks: int
-    #: True when the worker's tuning resolution came from the persistent
-    #: tuning cache (a "warmup hit")
-    warmup_hit: bool = False
-
-
 @dataclass
 class ShardPlanEntry:
     """One shard's prepared plan plus how it was obtained."""
 
     shard: Shard
-    #: ``None`` for empty shards (nothing to execute) and for shards whose
-    #: plan lives in a worker process (see :attr:`remote`)
+    #: ``None`` for empty shards (nothing to execute)
     plan: Optional[ExecutionPlan]
     cache_hit: bool
     #: wall-clock of the (possibly cached) plan fetch/build
     build_ms: float
-    #: summary of a worker-resident plan (process executor); ``None`` for
-    #: in-process plans and empty shards
-    remote: Optional[RemotePlanInfo] = None
 
     @property
     def backend(self) -> str:
@@ -135,8 +105,6 @@ class ShardPlanEntry:
         Per-shard tuning with ``kernel="auto"`` may select *different*
         backends for different shards of one matrix -- e.g. cuBLAS on a
         dense panel, SMaT elsewhere."""
-        if self.remote is not None:
-            return self.remote.backend
         if self.plan is None:
             return "-"
         return self.plan.report.backend
@@ -145,8 +113,6 @@ class ShardPlanEntry:
     def config_label(self) -> str:
         """Compact description of the built plan (see :func:`plan_label`);
         ``"-"`` for empty shards."""
-        if self.remote is not None:
-            return self.remote.config_label
         if self.plan is None:
             return "-"
         return plan_label(self.plan)
@@ -191,21 +157,9 @@ class ShardPlanner:
         return ShardPlanEntry(shard=shard, plan=plan, cache_hit=hit, build_ms=build_ms)
 
     def plans_for(
-        self,
-        partition: Partition,
-        config: Optional[SMaTConfig] = None,
-        *,
-        executor=None,
+        self, partition: Partition, config: Optional[SMaTConfig] = None
     ) -> List[ShardPlanEntry]:
-        """Plans for every shard of a partition, in shard order.
-
-        With ``executor`` (a ``concurrent.futures`` executor) shard builds
-        run concurrently -- per-shard reordering and tuning searches are
-        independent, so preprocessing scales with the pool.
-        """
+        """Plans for every shard of a partition, in shard order."""
         cfg = (config or SMaTConfig()).validate()
         ensure_shard_fingerprints(partition)
-        if executor is None or len(partition.shards) <= 1:
-            return [self.plan_for(shard, cfg) for shard in partition.shards]
-        futures = [executor.submit(self.plan_for, shard, cfg) for shard in partition.shards]
-        return [f.result() for f in futures]
+        return [self.plan_for(shard, cfg) for shard in partition.shards]

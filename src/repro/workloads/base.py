@@ -185,8 +185,8 @@ class SpMMOperator:
         per-matrix tuner choice); overrides the backend of ``config``.
     policy:
         :class:`~repro.core.policy.ExecutionPolicy` of the owned engine
-        -- pool width, tuning, sharded routing (``sharded``/``grid``/
-        ``shard_mode``) and the thread-vs-process executor choice.
+        -- pool width, tuning and sharded routing (``sharded``/``grid``/
+        ``shard_mode``).
     """
 
     def __init__(

@@ -109,8 +109,7 @@ def pagerank(
 
     The SpMM runs on an :class:`~repro.engine.SpMMEngine` (pass
     ``engine`` to share one, or the operator owns a private one).  Pass
-    ``policy=ExecutionPolicy(...)`` to pick the executor, tuning and
-    sharded routing.
+    ``policy=ExecutionPolicy(...)`` to pick tuning and sharded routing.
     """
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must be in (0, 1), got {damping!r}")

@@ -125,10 +125,11 @@ class TestArgumentValidation:
             ["workload", "--iters", "0"],
             ["workload", "--grid", "0x1"],
             ["workload", "--workers", "0"],
-            ["engine", "--executor", "banana"],
-            ["shard", "--executor", "fiber"],
-            ["workload", "--executor", "coroutine"],
-            ["serve", "--executor", "banana"],
+            # the --executor flag was removed: passing it is a usage error
+            ["engine", "--executor", "process"],
+            ["shard", "--executor", "process"],
+            ["workload", "--executor", "thread"],
+            ["serve", "--executor", "process"],
         ],
     )
     def test_bad_arguments_exit_code_2(self, argv, capsys):
@@ -146,25 +147,17 @@ class TestArgumentValidation:
 
 
 class TestSharedExecutionFlags:
-    """The --executor flag and the args -> ExecutionPolicy mapping come
-    from one shared module (repro.cli_args), wired through every
-    subcommand."""
-
-    @pytest.mark.parametrize("cmd", ["engine", "shard", "workload", "serve"])
-    def test_executor_flag_everywhere(self, cmd):
-        assert build_parser().parse_args([cmd]).executor is None
-        args = build_parser().parse_args([cmd, "--executor", "process"])
-        assert args.executor == "process"
+    """The args -> ExecutionPolicy mapping comes from one shared module
+    (repro.cli_args), wired through every subcommand."""
 
     def test_policy_from_args_maps_fields(self):
         from repro.cli_args import policy_from_args
 
         args = build_parser().parse_args(
-            ["shard", "--executor", "process", "--workers", "3",
-             "--grid", "2x2", "--mode", "cost"]
+            ["shard", "--workers", "3", "--grid", "2x2", "--mode", "cost"]
         )
         policy = policy_from_args(args)
-        assert policy.executor == "process"
+        assert policy.executor is None
         assert policy.max_workers == 3
         assert policy.grid == "2x2"
         assert policy.shard_mode == "cost"

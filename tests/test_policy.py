@@ -1,4 +1,4 @@
-"""ExecutionPolicy: validation, env resolution, and the surfaces that take it."""
+"""ExecutionPolicy: validation, removed-field compat, and the surfaces that take it."""
 
 import pickle
 import threading
@@ -7,12 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import SMaTConfig
-from repro.core.plan import PlanSpec
-from repro.core.policy import EXECUTOR_ENV, ExecutionPolicy, default_executor
+from repro.core.policy import ExecutionPolicy
 from repro.engine import SpMMEngine
 from repro.serve import SpMMServer
-from repro.shard import ShardedSpMM
+from repro.shard import ShardedReport, ShardedSpMM
 from repro.workloads import (
     SpMMOperator,
     chebyshev_smoother,
@@ -46,14 +44,14 @@ class TestPolicyValue:
 
     def test_replace_returns_new_value(self):
         base = ExecutionPolicy()
-        tuned = base.replace(tune=True, executor="process")
-        assert tuned.tune and tuned.executor == "process"
+        tuned = base.replace(tune=True, executor="thread")
+        assert tuned.tune and tuned.executor == "thread"
         assert not base.tune and base.executor is None
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"executor": "banana"},
+            {"max_workers": -1},
             {"max_workers": 0},
             {"shard_mode": "banana"},
             {"latency_window": 0},
@@ -69,7 +67,7 @@ class TestPolicyValue:
             ExecutionPolicy(**kwargs)
 
     def test_picklable(self):
-        policy = ExecutionPolicy(executor="process", grid="2x2", tune=True)
+        policy = ExecutionPolicy(executor="thread", grid="2x2", tune=True)
         assert pickle.loads(pickle.dumps(policy)) == policy
 
     # online tuning was removed: ``online_tune=None`` is the only legal value
@@ -103,31 +101,34 @@ class TestPolicyValue:
         assert not any(name.startswith("spmm-online") for name in names)
 
 
-class TestEnvResolution:
-    def test_default_is_thread(self, monkeypatch):
-        monkeypatch.delenv(EXECUTOR_ENV, raising=False)
-        assert default_executor() == "thread"
+class TestExecutorCompat:
+    """The process executor was removed: ``executor`` only accepts ``None``
+    or ``"thread"`` and resolves to ``"thread"`` whatever the environment."""
+
+    @pytest.mark.parametrize("value", [None, "thread"])
+    def test_legal_values_construct_pickle_and_replace(self, value):
+        policy = ExecutionPolicy(executor=value, max_workers=1)
+        assert policy.executor == value
+        assert pickle.loads(pickle.dumps(policy)) == policy
+        assert ExecutionPolicy().replace(executor=value).executor == value
+        hash(policy)
+
+    def test_process_raises(self):
+        with pytest.raises(TypeError, match="process executor was removed"):
+            ExecutionPolicy(executor="process")
+        with pytest.raises(TypeError, match="process executor was removed"):
+            ExecutionPolicy().replace(executor="process")
+
+    @pytest.mark.parametrize("value", ["banana", "", 1, True])
+    def test_any_other_value_raises(self, value):
+        with pytest.raises(TypeError, match="process executor was removed"):
+            ExecutionPolicy(executor=value)
+
+    def test_resolved_executor_ignores_env(self, monkeypatch):
+        # the variable that used to select the process pool for a whole run
+        monkeypatch.setenv("_".join(("REPRO", "EXECUTOR")), "process")
         assert ExecutionPolicy().resolved_executor() == "thread"
-
-    def test_env_picks_process(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "process")
-        assert ExecutionPolicy().resolved_executor() == "process"
-
-    def test_explicit_field_beats_env(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "process")
         assert ExecutionPolicy(executor="thread").resolved_executor() == "thread"
-
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "banana")
-        with pytest.raises(ValueError, match="REPRO_EXECUTOR"):
-            default_executor()
-
-    def test_resolution_happens_at_use_time(self, monkeypatch):
-        monkeypatch.delenv(EXECUTOR_ENV, raising=False)
-        policy = ExecutionPolicy()
-        assert policy.resolved_executor() == "thread"
-        monkeypatch.setenv(EXECUTOR_ENV, "process")
-        assert policy.resolved_executor() == "process"
 
 
 class TestDeprecationGuard:
@@ -153,7 +154,6 @@ class TestSurfaceShims:
             telemetry = engine.telemetry()
         np.testing.assert_allclose(C, medium_random.spmm(B), rtol=1e-3, atol=1e-3)
         assert telemetry.completed == 1
-        assert telemetry.executor.workers == 2
 
     def test_engine_rejects_policy_plus_legacy(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
@@ -206,9 +206,12 @@ class TestSurfaceShims:
         with SpMMOperator(medium_random, policy=ExecutionPolicy(sharded=True, grid="2x2")) as op:
             assert op.sharded
             C = op.matmul(B)
-            shards = op.engine.telemetry().executor.shards_executed
+            _, report = op.engine.multiply(
+                medium_random, B, config=op.config, return_report=True
+            )
         np.testing.assert_allclose(C, medium_random.spmm(B), rtol=1e-3, atol=1e-3)
-        assert shards == 4
+        assert isinstance(report, ShardedReport)
+        assert report.n_shards == 4
 
     def test_operator_rejects_policy_with_shared_engine(self, medium_random):
         with SpMMEngine() as engine:
@@ -225,18 +228,3 @@ class TestSurfaceShims:
             with pytest.raises(ValueError, match="engine"):
                 SpMMServer(engine=engine, policy=ExecutionPolicy())
 
-
-class TestPlanSpecPicklable:
-    def test_config_and_spec_roundtrip(self):
-        spec = PlanSpec(SMaTConfig(reorder_columns=True), tuned=True)
-        clone = pickle.loads(pickle.dumps(spec))
-        assert clone.signature() == spec.signature()
-        assert clone.tuned
-
-    def test_spec_builds_equivalent_plan(self, medium_random):
-        spec = PlanSpec(SMaTConfig())
-        clone = pickle.loads(pickle.dumps(spec))
-        B = _operand(medium_random)
-        C1, _ = spec.build(medium_random).execute(B)
-        C2, _ = clone.build(medium_random).execute(B)
-        np.testing.assert_array_equal(C1, C2)

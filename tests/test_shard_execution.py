@@ -1,10 +1,15 @@
 """Sharded execution: scatter-gather correctness, caching, reports."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro import ExecutionPolicy, SMaT, SMaTConfig, ShardedSpMM
 from repro.engine import SpMMEngine
+from repro.formats import CSRMatrix
 from repro.matrices import block_band_matrix, suitesparse
 from repro.shard import ShardPlanner, execute_partition, make_partition
 from repro.tuner import Tuner
@@ -88,14 +93,12 @@ class TestFacade:
             def resolve(self, A, cfg):
                 raise RuntimeError("boom")
 
-        # pinned to the thread executor: only it consults the host-side
-        # tuner during prepare (process workers build their own tuner)
         before = {t.name for t in threading.enumerate()}
         with pytest.raises(RuntimeError, match="boom"):
             ShardedSpMM(
                 medium_random,
                 2,
-                policy=ExecutionPolicy(executor="thread", tune=True),
+                policy=ExecutionPolicy(tune=True),
                 tuner=BoomTuner(),
             )
         leaked = [
@@ -168,6 +171,23 @@ class TestEngineIntegration:
             C = engine.multiply_sharded(medium_random, B, grid="2x2")
         np.testing.assert_allclose(C, medium_random.spmm(B), rtol=1e-3, atol=1e-3)
 
+    def test_gather_is_looked_up_per_call(self, medium_random, monkeypatch):
+        """Wrappers installed on ``repro.shard.executor.execute_partition``
+        (profilers, the layer-timing benchmark) must see engine calls."""
+        import repro.shard.executor as shard_executor
+
+        calls = []
+        original = shard_executor.execute_partition
+
+        def wrapped(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(shard_executor, "execute_partition", wrapped)
+        with SpMMEngine(cache_size=32) as engine:
+            engine.multiply_sharded(medium_random, _operand(medium_random), grid="2x2")
+        assert calls == [1]
+
     def test_closed_engine_rejects_sharded_work(self, medium_random):
         engine = SpMMEngine()
         part = engine.partition_for(medium_random, 2)
@@ -227,3 +247,80 @@ class TestExecutorValidation:
         entries = ShardPlanner(PlanCache(8)).plans_for(part)
         with pytest.raises(ValueError, match="per shard"):
             execute_partition(part, entries[:1], _operand(medium_random))
+
+
+def _edge_matrix(name):
+    rng = np.random.default_rng(11)
+    if name == "empty-5x7":
+        return CSRMatrix.empty((5, 7))
+    if name == "1x9":
+        dense = rng.normal(size=(1, 9)).astype(np.float32)
+        dense[0, ::3] = 0.0
+    elif name == "9x1":
+        dense = rng.normal(size=(9, 1)).astype(np.float32)
+        dense[::4] = 0.0
+    elif name == "17x13":
+        dense = (rng.random((17, 13)) < 0.3) * rng.normal(size=(17, 13))
+        dense = dense.astype(np.float32)
+    else:  # "int32": integer-valued A
+        dense = (rng.random((17, 13)) < 0.3) * rng.integers(-4, 5, size=(17, 13))
+        dense = dense.astype(np.int32)
+    return CSRMatrix.from_scipy(sp.csr_matrix(dense))
+
+
+class TestGatherDifferential:
+    """The in-place gather against scipy float64 on shapes that do not
+    divide into any block shape or grid evenly."""
+
+    @pytest.mark.parametrize("n", [None, 1, 5, 33], ids=["vector", "n1", "n5", "n33"])
+    @pytest.mark.parametrize("grid", [1, 3, "2x2", "3x3"])
+    @pytest.mark.parametrize("name", ["empty-5x7", "1x9", "9x1", "17x13", "int32"])
+    def test_matches_scipy(self, name, grid, n):
+        A = _edge_matrix(name)
+        rng = np.random.default_rng(5)
+        shape = (A.ncols,) if n is None else (A.ncols, n)
+        B = rng.normal(size=shape).astype(np.float32)
+        expected = A.to_scipy().astype(np.float64) @ B.astype(np.float64)
+        with SpMMEngine(policy=ExecutionPolicy(max_workers=1), cache_size=32) as engine:
+            C_plain = engine.multiply(A, B)
+            C_engine = engine.multiply_sharded(A, B, grid=grid)
+            with ShardedSpMM(A, grid, engine=engine) as sharded:
+                C_facade = sharded.multiply(B)
+        for C in (C_engine, C_facade):
+            assert C.shape == expected.shape
+            assert C.dtype == C_plain.dtype
+            np.testing.assert_allclose(C, expected, rtol=1e-4, atol=1e-4)
+
+
+class TestConcurrentCallers:
+    def test_shared_engine_callers_write_only_their_own_C(self, medium_random):
+        """Server handler threads share one engine: concurrent sharded
+        calls must each gather into their own ``C``."""
+        A64 = medium_random.to_scipy().astype(np.float64)
+        operands = [[_operand(medium_random, seed=10 * t + i) for i in range(10)] for t in range(4)]
+        mismatches, errors = [], []
+
+        def caller(engine, Bs):
+            try:
+                for B in Bs:
+                    C = engine.multiply_sharded(medium_random, B, grid="2x2")
+                    if not np.allclose(C, A64 @ B.astype(np.float64), rtol=1e-4, atol=1e-4):
+                        mismatches.append(B)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with SpMMEngine(cache_size=32) as engine:
+                engine.multiply_sharded(medium_random, operands[0][0], grid="2x2")
+                threads = [threading.Thread(target=caller, args=(engine, Bs)) for Bs in operands]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors
+        assert not mismatches
