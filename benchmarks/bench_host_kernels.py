@@ -1,26 +1,26 @@
-"""Host numerics: every sparse backend's warm execute against scipy.
+"""Host numerics: every backend's warm execute against scipy.
 
 The reproduction has two performance currencies.  Simulated device time
 comes from the GPU cost model; *host wall time* is what a caller of
-``SpMMEngine`` waits for, and on a warm cached plan most of it is the
-backend's host numerics (``formats``).  This benchmark prices those
-numerics against the obvious host reference, scipy's CSR ``A @ B`` on
-the same matrix and operand:
+``SpMMEngine`` waits for.  A warm cached plan of any backend serves ``C``
+with one scipy CSR product of ``A`` in its original order (no ``B``
+permute, no ``C`` un-permute) and prices its layout from memoised
+counters.  This benchmark measures that against the obvious host
+reference, scipy's CSR ``A @ B`` on the same matrix and operand:
 
-* for every sparse backend, every Table-I stand-in at scale 0.05 and
-  ``N`` in {8, 32}, the ratio of the warm ``SpMMEngine.execute_one``
-  wall ms (plan built beforehand: B permute, numerics, cost simulation,
-  un-permute) to the scipy ms, each the minimum over interleaved rounds
-  in one process, so box noise hits both sides alike;
-* the geometric mean of those ratios per backend is gated: <= 2.0 for
-  cuSPARSE, DASP and Magicube, whose formats store only the non-zeros,
-  and <= 3.0 for SMaT, whose BCSR multiplies every padding zero of its
-  blocks on a CPU.  The table prints the SMaT plan's BCSR
-  ``fill_in_ratio`` next to the ratios for that reason.
+* for every backend (cuBLAS included), every Table-I stand-in at scale
+  0.05 and ``N`` in {8, 32}, the ratio of the warm
+  ``SpMMEngine.execute_one`` wall ms (plan built beforehand: lookup,
+  numerics, cost simulation, report) to the scipy ms, each the minimum
+  over interleaved rounds in one process, so box noise hits both sides
+  alike;
+* the geometric mean of those ratios per backend is gated at <= 1.3.
+  The table prints the SMaT plan's BCSR ``fill_in_ratio`` next to the
+  ratios: the fill-in is priced on the simulated device, but no longer
+  multiplied on the host.
 
-cuBLAS is left out: it multiplies the densified matrix, so scipy CSR is
-not its reference.  Magicube plans that fall back to SMaT (its memory
-gate) are reported as unsupported and left out of its geometric mean.
+Plans that fall back to SMaT (the Magicube and cuBLAS memory gates) are
+reported as unsupported and left out of their backend's geometric mean.
 """
 
 import time
@@ -40,7 +40,7 @@ MATRICES = suitesparse.TABLE1_NAMES
 SCALE = 0.05
 WIDTHS = (8, 32)
 #: geometric-mean ceiling of warm host ms over scipy ms, per backend
-CEILINGS = {"smat": 3.0, "cusparse": 2.0, "dasp": 2.0, "magicube": 2.0}
+CEILINGS = {"smat": 1.3, "cusparse": 1.3, "dasp": 1.3, "magicube": 1.3, "cublas": 1.3}
 #: interleaved measurement rounds; every op class keeps its minimum
 ROUNDS = 15
 

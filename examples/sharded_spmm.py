@@ -6,7 +6,8 @@ structure -- but the best block shape and reordering vary *within* a
 large matrix too.  The sharded subsystem (`repro.shard`) splits a matrix
 into an nnz-balanced grid of panels, prepares one execution plan per
 shard (each with its own reordering, and its own block shape when tuning
-is on), and scatter-gathers the shard runs on the engine's thread pool.
+is on), computes ``C`` once from the whole matrix and prices every shard
+on the simulated device, in the calling thread.
 
 This example:
 

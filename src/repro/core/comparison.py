@@ -7,7 +7,7 @@ packages that loop: every library runs as an
 :class:`~repro.core.plan.ExecutionPlan` through an
 :class:`~repro.engine.SpMMEngine`, so each backend's preparation (SMaT's
 reordering + BCSR build, Magicube's SR-BCRS conversion, cuBLAS's
-densification, ...) is plan-cached -- repeated comparisons against the
+memory gate, ...) is plan-cached -- repeated comparisons against the
 same matrix skip all preprocessing.  The harness checks the numerical
 results agree and returns a uniform record per library: the rows of
 Figures 8, 9 and 10.

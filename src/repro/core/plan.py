@@ -13,9 +13,9 @@ shareable:
   :func:`matrix_fingerprint` so repeated queries skip preprocessing
   entirely.
 
-A built plan is immutable, and executing it does not mutate any of its
-state, so one plan may be executed concurrently from several threads (the
-engine's batched thread-pool path relies on this).
+A built plan is immutable: executing it only fills the kernel's bounded,
+lock-protected price memo, so one plan may be executed concurrently from
+several threads (the engine's batched thread-pool path relies on this).
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def config_signature(config: SMaTConfig) -> Tuple:
     shape, variant) are *normalised away* -- they never reach the build
     (``_build_unblocked`` ignores them), so two configs differing only in
     those fields share one cached plan instead of storing duplicate
-    prepared state (e.g. two identical dense copies for cuBLAS).
+    prepared state (e.g. two identical SR-BCRS copies for Magicube).
     """
     kernel = config.resolved_kernel()
     if kernel != "auto" and not KERNEL_REGISTRY[kernel].wants_reordering:
@@ -285,7 +285,7 @@ class ExecutionPlan:
     ) -> "ExecutionPlan":
         """Baseline-library pipeline: no reordering, only the backend's
         own format conversion (cuSPARSE keeps CSR, Magicube builds
-        SR-BCRS, cuBLAS densifies, ...)."""
+        SR-BCRS, cuBLAS checks its dense memory gate, ...)."""
         kernel = get_kernel(backend, config.arch, config.precision)
         kernel.prepare(A)
         report = PreprocessReport(
@@ -334,7 +334,7 @@ class ExecutionPlan:
 
     # -- execution ------------------------------------------------------------------
     def run_kernel(self, B: np.ndarray) -> KernelResult:
-        """Run the kernel and return the full
+        """Run the kernel through its own layout and return the full
         :class:`~repro.kernels.base.KernelResult` (result rows are in the
         permuted order)."""
         B_arr = np.asarray(B)
@@ -345,6 +345,22 @@ class ExecutionPlan:
             B_arr = B_arr[self.col_perm]
         return self.kernel.run(B_arr)
 
+    def price(self, n_cols: int) -> MultiplyReport:
+        """The :class:`MultiplyReport` of one multiply against an
+        ``n_cols``-wide ``B``: the kernel's simulated device price of this
+        plan's layout, without computing ``C``."""
+        result = self.kernel.price(n_cols)
+        return MultiplyReport(
+            gflops=result.gflops,
+            simulated_ms=result.time_ms,
+            n_blocks=int(result.meta.get("n_blocks", 0)),
+            useful_flops=result.counters.useful_flops,
+            bound=result.timing.bound,
+            backend=self.report.backend,
+            kernel_meta=result.meta,
+            preprocessing=self.report,
+        )
+
     def execute(
         self,
         B: np.ndarray,
@@ -353,35 +369,22 @@ class ExecutionPlan:
     ) -> Tuple[np.ndarray, MultiplyReport]:
         """Compute ``C = A @ B`` and return it with a :class:`MultiplyReport`.
 
-        ``B`` may be a ``(K, N)`` dense matrix or a length-``K`` vector
-        (SpMV); a vector input yields a vector output.  With
-        ``keep_permuted`` the result stays in the permuted row order
-        (``P A B``) instead of undoing the row permutation.
+        ``C`` is one scipy CSR product of ``A`` in its original order (the
+        operator cached on ``A``, shared by every plan of the matrix); the
+        report prices the plan's layout on the simulated device (see
+        :meth:`price`).  ``B`` may be a ``(K, N)`` dense matrix or a
+        length-``K`` vector (SpMV); a vector input yields a vector output.
+        With ``keep_permuted`` the result is in the permuted row order
+        (``P A B``, i.e. ``C[row_perm]``).
         """
         B_arr = np.asarray(B)
-        was_vector = B_arr.ndim == 1
-        result = self.run_kernel(B_arr)
-        C = result.C
-        if not keep_permuted and self.report.applied:
+        C = self.A.spmm(B_arr)
+        report = self.price(C.shape[1])
+        if keep_permuted and self.report.applied:
             # row i of the permuted result is original row row_perm[i]
-            # (plans whose permutation was skipped -- every non-blocked
-            # backend, and blocked plans where auto_skip_reordering kept
-            # the input order -- return the kernel result directly)
-            C_out = np.empty_like(C)
-            C_out[self.row_perm] = C
-            C = C_out
-        if was_vector:
+            C = C[self.row_perm]
+        if B_arr.ndim == 1:
             C = C.ravel()
-        report = MultiplyReport(
-            gflops=result.gflops,
-            simulated_ms=result.time_ms,
-            n_blocks=int(result.meta.get("n_blocks", 0)),
-            useful_flops=result.counters.useful_flops,
-            bound=result.timing.bound,
-            backend=self.report.backend,
-            kernel_meta=dict(result.meta),
-            preprocessing=self.report,
-        )
         return C, report
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

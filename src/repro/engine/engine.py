@@ -310,7 +310,7 @@ class SpMMEngine:
         same matrix and configuration.  With a ``sharded`` policy the
         call routes through :meth:`multiply_sharded` (the report, when
         requested, is then a :class:`~repro.shard.ShardedReport`;
-        ``keep_permuted`` does not apply to the gathered result).
+        ``keep_permuted`` does not apply to the sharded result).
         """
         self._require_open()
         if self.policy.sharded:
@@ -477,8 +477,8 @@ class SpMMEngine:
             return ShardPlanner(self._cache, tuner=self.tuner).plans_for(partition, cfg)
 
     def execute_sharded(self, partition, entries, B: np.ndarray):
-        """Scatter-gather one sharded multiply in the calling thread;
-        returns ``(C, ShardedReport)``."""
+        """Run one sharded multiply in the calling thread: ``C`` once,
+        every shard priced; returns ``(C, ShardedReport)``."""
         # looked up per call, like make_partition in partition_for, so a
         # wrapper installed on the module attribute sees every call
         from ..shard.executor import execute_partition
@@ -503,8 +503,9 @@ class SpMMEngine:
 
         ``A`` is split into a balanced shard grid
         (:mod:`repro.shard.partition`), every shard gets its own cached
-        (and, when tuning, per-shard tuned) plan, and the shard runs are
-        scatter-gathered in the calling thread.  ``grid`` and ``mode``
+        (and, when tuning, per-shard tuned) plan that prices its shard on
+        the simulated device; ``C`` itself is computed once with ``A``'s
+        operator, in the calling thread.  ``grid`` and ``mode``
         default to the policy's ``grid`` / ``shard_mode``.  With
         ``return_report`` the per-shard breakdown
         (:class:`~repro.shard.ShardedReport`) is returned alongside ``C``.

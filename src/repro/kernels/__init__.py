@@ -19,7 +19,7 @@ Use :func:`get_kernel` to instantiate by name.
 import inspect
 from typing import Dict, List, Type
 
-from .base import KernelResult, KernelUnsupportedError, SpMMKernel
+from .base import PRICE_MEMO_SIZE, KernelResult, KernelUnsupportedError, SpMMKernel
 from .csr_spmm import CusparseCSRKernel
 from .dasp import DASPKernel
 from .dense_gemm import CublasDenseKernel
@@ -30,6 +30,7 @@ __all__ = [
     "SpMMKernel",
     "KernelResult",
     "KernelUnsupportedError",
+    "PRICE_MEMO_SIZE",
     "SMaTKernel",
     "SMaTVariant",
     "CusparseCSRKernel",

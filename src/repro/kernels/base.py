@@ -7,35 +7,42 @@ paper (SMaT, cuSPARSE, DASP, Magicube, cuBLAS).  A kernel
    any library-internal preprocessing happen here, mirroring the paper's
    separation between preprocessing and execution (Figure 1), and
 2. is *run* against a dense matrix ``B``, producing the numerical result
-   ``C = A @ B`` (computed with NumPy) together with a simulated A100
-   execution time (computed by :mod:`repro.gpu`).
+   ``C = A @ B`` (the prepared format's own host ``spmm``) together with
+   a simulated A100 execution time (computed by :mod:`repro.gpu`).
 
 The numerical result is exact (reference semantics); the timing is the
-model's estimate of what the corresponding CUDA kernel would achieve.
+model's estimate of what the corresponding CUDA kernel would achieve;
+:meth:`SpMMKernel.price` gives the timing alone.
 """
 
 from __future__ import annotations
 
 import abc
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..formats import CSRMatrix
-from ..formats.base import check_dense_operand
+from ..formats.base import SparseFormat, check_dense_operand
 from ..formats.csr import matrix_fingerprint
 from ..gpu import (
     A100_SXM4_40GB,
     CostModel,
     GPUArchitecture,
     KernelCounters,
+    KernelEfficiency,
     Precision,
     SimulatedTiming,
     get_precision,
 )
 
-__all__ = ["KernelResult", "SpMMKernel", "KernelUnsupportedError"]
+__all__ = ["KernelResult", "SpMMKernel", "KernelUnsupportedError", "PRICE_MEMO_SIZE"]
+
+#: distinct ``B`` widths whose counters one prepared kernel keeps; the
+#: oldest width is dropped first
+PRICE_MEMO_SIZE = 8
 
 
 class KernelUnsupportedError(RuntimeError):
@@ -50,8 +57,8 @@ class KernelUnsupportedError(RuntimeError):
 class KernelResult:
     """Outcome of one simulated SpMM launch."""
 
-    #: the numerical product ``A @ B``
-    C: np.ndarray
+    #: the numerical product ``A @ B`` (``None`` from :meth:`SpMMKernel.price`)
+    C: Optional[np.ndarray]
     #: simulated execution time and derived GFLOP/s
     timing: SimulatedTiming
     #: raw hardware-event counters that produced the timing
@@ -93,12 +100,20 @@ class SpMMKernel(abc.ABC):
     #: one-line description of the kernel's cost model, surfaced by
     #: ``repro kernels`` and the tuner's search table
     cost_notes: str = ""
+    #: per-launch overhead for the cost model (``None``: the architecture's);
+    #: a multi-launch kernel counts its launches in ``extra["launches"]``
+    launch_overhead_us: Optional[float] = None
 
     def __init__(self, arch: GPUArchitecture = A100_SXM4_40GB, precision="fp16"):
         self.arch = arch
         self.precision: Precision = get_precision(precision)
         self.cost_model = CostModel(arch, self.precision)
         self._prepared_for: Optional[CSRMatrix] = None
+        #: the prepared format whose ``spmm`` :meth:`run` returns
+        self._host: Optional[SparseFormat] = None
+        #: n_cols -> (counters, efficiency): plain data, no closures
+        self._prices: Dict[int, Tuple[KernelCounters, KernelEfficiency]] = {}
+        self._prices_lock = threading.Lock()
 
     # -- preparation -----------------------------------------------------------
     @abc.abstractmethod
@@ -112,19 +127,75 @@ class SpMMKernel(abc.ABC):
     def is_prepared(self) -> bool:
         return self._prepared_for is not None
 
-    def _mark_prepared(self, A: CSRMatrix) -> None:
+    def _mark_prepared(self, A: CSRMatrix, host: Optional[SparseFormat] = None) -> None:
         self._prepared_for = A
+        self._host = A if host is None else host
+        self._prices = {}
 
     def _require_prepared(self) -> CSRMatrix:
         if self._prepared_for is None:
             raise RuntimeError(f"{self.name}: call prepare(A) before run(B)")
         return self._prepared_for
 
-    # -- execution ----------------------------------------------------------------
+    # -- pricing --------------------------------------------------------------------
     @abc.abstractmethod
+    def _counters(self, n_cols: int) -> KernelCounters:
+        """Hardware-event counters of one launch against ``n_cols`` columns."""
+
+    @abc.abstractmethod
+    def _efficiency(self, counters: KernelCounters) -> KernelEfficiency:
+        """How close this implementation gets to each hardware peak."""
+
+    def _meta(self, counters: KernelCounters, timing: SimulatedTiming) -> Dict[str, object]:
+        """Per-kernel metadata of one launch (a fresh dict per call)."""
+        return {"format": self.input_format}
+
+    def price(self, n_cols: int) -> KernelResult:
+        """The simulated price of one launch against an ``n_cols``-wide
+        ``B``, as a :class:`KernelResult` without ``C``.
+
+        Counters and efficiency depend only on the prepared matrix and
+        ``n_cols``, so they are kept for up to :data:`PRICE_MEMO_SIZE`
+        widths (shared, read-only); the cost model runs on every call.
+        """
+        self._require_prepared()
+        entry = self._prices.get(n_cols)
+        if entry is None:
+            counters = self._counters(n_cols)
+            if counters.warp_work_cycles is not None:
+                counters.warp_work_cycles.setflags(write=False)
+            entry = (counters, self._efficiency(counters))
+            with self._prices_lock:
+                if n_cols not in self._prices and len(self._prices) >= PRICE_MEMO_SIZE:
+                    del self._prices[next(iter(self._prices))]
+                self._prices[n_cols] = entry
+        counters, efficiency = entry
+        timing = self.cost_model.simulate(
+            counters,
+            efficiency,
+            launch_overhead_us=self.launch_overhead_us,
+            n_launches=int(counters.extra.get("launches", 1)),
+        )
+        return KernelResult(
+            C=None,
+            timing=timing,
+            counters=counters,
+            kernel=self.name,
+            meta=self._meta(counters, timing),
+        )
+
+    # -- execution ----------------------------------------------------------------
     def run(self, B: np.ndarray) -> KernelResult:
-        """Execute ``C = A @ B`` and return the numerical result plus the
-        simulated timing."""
+        """Execute ``C = A @ B`` on the prepared format and return the
+        numerical result with the simulated price (see :meth:`price`).
+
+        Every kernel class binds this function as its own ``run``, so a
+        wrapper installed on one class (a profiler, the layer-timing
+        benchmark) sees exactly that class's runs."""
+        B = self._validate_B(B)
+        result = self.price(B.shape[1])
+        result.C = self._host.spmm(B)
+        return result
 
     def multiply(self, A: CSRMatrix, B: np.ndarray) -> KernelResult:
         """Convenience: prepare for ``A`` (if needed) and run against ``B``.

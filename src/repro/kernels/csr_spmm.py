@@ -21,7 +21,7 @@ import numpy as np
 
 from ..formats import CSRMatrix
 from ..gpu import AccessPattern, KernelCounters, KernelEfficiency
-from .base import KernelResult, SpMMKernel
+from .base import SpMMKernel
 
 __all__ = ["CusparseCSRKernel"]
 
@@ -103,7 +103,7 @@ class CusparseCSRKernel(SpMMKernel):
             extra={"n_rows": float(self.csr.nrows)},
         )
 
-    def _efficiency(self) -> KernelEfficiency:
+    def _efficiency(self, counters: KernelCounters) -> KernelEfficiency:
         return KernelEfficiency(
             tensor_core=COMPUTE_EFFICIENCY,  # scales the warp-cycle makespan
             cuda_core=0.25,
@@ -111,17 +111,4 @@ class CusparseCSRKernel(SpMMKernel):
             scalar_ipc=2.0,
         )
 
-    # -- execution -----------------------------------------------------------------------
-    def run(self, B: np.ndarray) -> KernelResult:
-        B = self._validate_B(B)
-        assert self.csr is not None
-        C = self.csr.spmm(B)
-        counters = self._counters(B.shape[1])
-        timing = self.cost_model.simulate(counters, self._efficiency())
-        return KernelResult(
-            C=C,
-            timing=timing,
-            counters=counters,
-            kernel=self.name,
-            meta={"format": "csr"},
-        )
+    run = SpMMKernel.run  # on the class itself: see SpMMKernel.run

@@ -18,11 +18,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from ..formats import CSRMatrix
 from ..gpu import AccessPattern, KernelCounters, KernelEfficiency
-from .base import KernelResult, SpMMKernel
+from .base import SpMMKernel
 
 __all__ = ["DASPKernel"]
 
@@ -41,6 +39,7 @@ class DASPKernel(SpMMKernel):
 
     name = "DASP"
     input_format = "csr (row-packed)"
+    launch_overhead_us = LAUNCH_OVERHEAD_US
     cost_notes = (
         "bandwidth-bound SpMV repeated N times (one launch per column of B); "
         "time linear in nnz x N -- strongest at very small N"
@@ -63,8 +62,8 @@ class DASPKernel(SpMMKernel):
         self._mark_prepared(A)
 
     # -- model -------------------------------------------------------------------------------
-    def _spmv_counters(self) -> KernelCounters:
-        """Counters of a single SpMV launch."""
+    def _counters(self, n_cols: int) -> KernelCounters:
+        """Counters of ``n_cols`` SpMV launches (one per column of ``B``)."""
         assert self.csr is not None
         nnz = self.csr.nnz
         # streamed once per launch: values + column indices + x + y
@@ -73,7 +72,7 @@ class DASPKernel(SpMMKernel):
         bytes_y = self.csr.nrows * 4.0
         # DASP packs rows into m8n4k4-style tiles; roughly one MMA per 32 nnz
         mma_instructions = nnz / 32.0
-        return KernelCounters(
+        spmv = KernelCounters(
             useful_flops=self.useful_flops(nnz, 1),
             mma_instructions=mma_instructions,
             mma_flops=mma_instructions * self.precision.mma_shape.flops,
@@ -82,8 +81,11 @@ class DASPKernel(SpMMKernel):
             scalar_instructions=float(nnz),
             extra={"launches": 1.0},
         )
+        counters = spmv.scaled(float(n_cols))  # extra["launches"] becomes N
+        counters.useful_flops = self.useful_flops(nnz, n_cols)
+        return counters
 
-    def _efficiency(self) -> KernelEfficiency:
+    def _efficiency(self, counters: KernelCounters) -> KernelEfficiency:
         return KernelEfficiency(
             tensor_core=TC_EFFICIENCY,
             cuda_core=0.3,
@@ -93,27 +95,7 @@ class DASPKernel(SpMMKernel):
             scalar_ipc=4.0,
         )
 
-    # -- execution ------------------------------------------------------------------------------
-    def run(self, B: np.ndarray) -> KernelResult:
-        B = self._validate_B(B)
-        assert self.csr is not None
-        n_cols = B.shape[1]
+    def _meta(self, counters, timing):
+        return {"format": self.input_format, "launches": int(counters.extra["launches"])}
 
-        C = self.csr.spmm(B)
-        spmv = self._spmv_counters()
-        counters = spmv.scaled(float(n_cols))
-        counters.useful_flops = self.useful_flops(self.csr.nnz, n_cols)
-        counters.extra["launches"] = float(n_cols)
-        timing = self.cost_model.simulate(
-            counters,
-            self._efficiency(),
-            launch_overhead_us=LAUNCH_OVERHEAD_US,
-            n_launches=n_cols,
-        )
-        return KernelResult(
-            C=C,
-            timing=timing,
-            counters=counters,
-            kernel=self.name,
-            meta={"format": "csr (row-packed)", "launches": n_cols},
-        )
+    run = SpMMKernel.run  # on the class itself: see SpMMKernel.run

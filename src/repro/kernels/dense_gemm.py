@@ -16,13 +16,11 @@ is how the paper scales cuBLAS performance by the fraction of non-zeros.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Tuple
 
-import numpy as np
-
-from ..formats import CSRMatrix, DenseMatrix
+from ..formats import CSRMatrix
 from ..gpu import AccessPattern, KernelCounters, KernelEfficiency
-from .base import KernelResult, KernelUnsupportedError, SpMMKernel
+from .base import KernelUnsupportedError, SpMMKernel
 
 __all__ = ["CublasDenseKernel"]
 
@@ -49,21 +47,23 @@ class CublasDenseKernel(SpMMKernel):
 
             arch = _default_arch
         super().__init__(arch, precision)
-        self.dense: Optional[DenseMatrix] = None
+        self._shape: Tuple[int, int] = (0, 0)
         self._nnz_logical: int = 0
 
     # -- preparation ----------------------------------------------------------------
     def prepare(self, A: CSRMatrix) -> None:
-        """Densify ``A`` (explicit zero padding).  Refuses matrices whose
-        dense form does not fit in device memory, which is exactly the
-        practical limit of the "store it densely" approach."""
+        """Check that the densified ``A`` (explicit zero padding) fits in
+        device memory, which is exactly the practical limit of the "store
+        it densely" approach.  Only the shape and nnz are kept: the
+        counters need nothing else, and :meth:`run` multiplies the CSR
+        input (the dense product is the same ``A @ B``)."""
         dense_bytes = float(A.nrows) * A.ncols * self.precision.itemsize
         if not self.cost_model.memory.fits_in_device_memory(dense_bytes * 1.05):
             raise KernelUnsupportedError(
                 f"dense operand of {dense_bytes / 2**30:.1f} GiB does not fit on "
                 f"{self.arch.name}"
             )
-        self.dense = DenseMatrix.from_sparse(A)
+        self._shape = A.shape
         self._nnz_logical = A.nnz
         self._mark_prepared(A)
 
@@ -74,8 +74,7 @@ class CublasDenseKernel(SpMMKernel):
 
     # -- model ----------------------------------------------------------------------------
     def _counters(self, n_cols: int) -> KernelCounters:
-        assert self.dense is not None
-        M, K = self.dense.shape
+        M, K = self._shape
         item = self.precision.itemsize
         dense_flops = 2.0 * M * K * n_cols
         mma_flops_per_inst = self.precision.mma_shape.flops
@@ -88,7 +87,7 @@ class CublasDenseKernel(SpMMKernel):
             extra={"dense_flops": dense_flops},
         )
 
-    def _efficiency(self) -> KernelEfficiency:
+    def _efficiency(self, counters: KernelCounters) -> KernelEfficiency:
         return KernelEfficiency(
             tensor_core=TC_EFFICIENCY,
             cuda_core=0.7,
@@ -98,24 +97,12 @@ class CublasDenseKernel(SpMMKernel):
             scalar_ipc=4.0,
         )
 
-    # -- execution --------------------------------------------------------------------------
-    def run(self, B: np.ndarray) -> KernelResult:
-        B = self._validate_B(B)
-        assert self.dense is not None
-        C = self.dense.spmm(B)
-        counters = self._counters(B.shape[1])
-        timing = self.cost_model.simulate(counters, self._efficiency())
+    def _meta(self, counters, timing):
         dense_flops = counters.extra["dense_flops"]
-        return KernelResult(
-            C=C,
-            timing=timing,
-            counters=counters,
-            kernel=self.name,
-            meta={
-                "format": "dense",
-                "dense_gflops": dense_flops / timing.time_s / 1e9,
-                "effective_fraction": (
-                    counters.useful_flops / dense_flops if dense_flops else 0.0
-                ),
-            },
-        )
+        return {
+            "format": self.input_format,
+            "dense_gflops": dense_flops / timing.time_s / 1e9,
+            "effective_fraction": counters.useful_flops / dense_flops if dense_flops else 0.0,
+        }
+
+    run = SpMMKernel.run  # on the class itself: see SpMMKernel.run

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..formats import CSRMatrix, SRBCRSMatrix
 from ..gpu import AccessPattern, KernelCounters, KernelEfficiency
-from .base import KernelResult, KernelUnsupportedError, SpMMKernel
+from .base import KernelUnsupportedError, SpMMKernel
 
 __all__ = ["MagicubeKernel"]
 
@@ -85,7 +85,7 @@ class MagicubeKernel(SpMMKernel):
                 f"exceeds the {self.arch.hbm_capacity_gib:.0f} GiB of {self.arch.name}"
             )
         self.srbcrs = srbcrs
-        self._mark_prepared(A)
+        self._mark_prepared(A, srbcrs)
 
     # -- model -------------------------------------------------------------------------------
     def _warp_work_cycles(self, n_cols: int) -> np.ndarray:
@@ -125,7 +125,7 @@ class MagicubeKernel(SpMMKernel):
             },
         )
 
-    def _efficiency(self) -> KernelEfficiency:
+    def _efficiency(self, counters: KernelCounters) -> KernelEfficiency:
         return KernelEfficiency(
             tensor_core=COMPUTE_EFFICIENCY,
             cuda_core=0.4,
@@ -133,22 +133,12 @@ class MagicubeKernel(SpMMKernel):
             scalar_ipc=2.0,
         )
 
-    # -- execution -------------------------------------------------------------------------------
-    def run(self, B: np.ndarray) -> KernelResult:
-        B = self._validate_B(B)
-        assert self.srbcrs is not None
-        C = self.srbcrs.spmm(B)
-        counters = self._counters(B.shape[1])
-        timing = self.cost_model.simulate(counters, self._efficiency())
-        return KernelResult(
-            C=C,
-            timing=timing,
-            counters=counters,
-            kernel=self.name,
-            meta={
-                "format": "sr-bcrs",
-                "vector_length": self.vector_length,
-                "stride": self.stride,
-                "n_vectors": self.srbcrs.n_vectors,
-            },
-        )
+    def _meta(self, counters, timing):
+        return {
+            "format": self.input_format,
+            "vector_length": self.vector_length,
+            "stride": self.stride,
+            "n_vectors": self.srbcrs.n_vectors,
+        }
+
+    run = SpMMKernel.run  # on the class itself: see SpMMKernel.run

@@ -38,7 +38,7 @@ import numpy as np
 from ..formats import BCSRMatrix, CSRMatrix
 from ..gpu import AccessPattern, KernelCounters, KernelEfficiency
 from ..gpu.tensorcore import LDMATRIX_X2_CYCLES, LDMATRIX_X4_CYCLES
-from .base import KernelResult, SpMMKernel
+from .base import SpMMKernel
 
 __all__ = ["SMaTVariant", "SMaTKernel"]
 
@@ -144,7 +144,7 @@ class SMaTKernel(SpMMKernel):
         """Convert ``A`` (already permuted by the preprocessing stage) to
         BCSR with the kernel's block shape."""
         self.bcsr = BCSRMatrix.from_csr(A, self.block_shape)
-        self._mark_prepared(A)
+        self._mark_prepared(A, self.bcsr)
 
     def tuning_work(self, A: CSRMatrix) -> float:
         """SMaT's Eq. 1 work measure: the non-zero BCSR block count at the
@@ -245,9 +245,10 @@ class SMaTKernel(SpMMKernel):
             },
         )
 
-    def _efficiency(self, n_warps: int) -> KernelEfficiency:
+    def _efficiency(self, counters: KernelCounters) -> KernelEfficiency:
         # DRAM efficiency: the variant's access quality scaled by how much
         # of the device the (possibly small) grid can keep busy.
+        n_warps = int(counters.extra["n_warps"])
         if self.variant.use_async_copy:
             base_coalescing = 0.75
         elif self.variant.use_tensor_cores or self.variant.use_bcsr_pointers:
@@ -264,25 +265,12 @@ class SMaTKernel(SpMMKernel):
             scalar_ipc=2.0,
         )
 
-    # -- execution ------------------------------------------------------------------------
-    def run(self, B: np.ndarray) -> KernelResult:
-        B = self._validate_B(B)
-        assert self.bcsr is not None
-        n_cols = B.shape[1]
+    def _meta(self, counters, timing):
+        return {
+            "variant": self.variant.label,
+            "n_blocks": self.bcsr.n_blocks,
+            "block_shape": self.block_shape,
+            "fill_in_ratio": self.bcsr.fill_in_ratio,
+        }
 
-        C = self.bcsr.spmm(B)
-        counters = self._counters(n_cols)
-        n_warps = int(counters.extra["n_warps"])
-        timing = self.cost_model.simulate(counters, self._efficiency(n_warps))
-        return KernelResult(
-            C=C,
-            timing=timing,
-            counters=counters,
-            kernel=self.name,
-            meta={
-                "variant": self.variant.label,
-                "n_blocks": self.bcsr.n_blocks,
-                "block_shape": self.block_shape,
-                "fill_in_ratio": self.bcsr.fill_in_ratio,
-            },
-        )
+    run = SpMMKernel.run  # on the class itself: see SpMMKernel.run

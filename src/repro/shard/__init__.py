@@ -5,16 +5,17 @@ the best block shape and reordering vary with sparsity structure, which
 holds *within* one large matrix too.  This subsystem splits a matrix into
 a balanced grid of shards, prepares (and caches) one
 :class:`~repro.core.plan.ExecutionPlan` per shard -- each with its own
-reordering and, through the tuner, its own block shape -- and
-scatter-gathers the shard runs in the calling thread:
+reordering and, through the tuner, its own block shape.  A multiply
+computes ``C`` once with the whole matrix's operator and prices every
+shard through its plan, in the calling thread:
 
 * :mod:`~repro.shard.partition` -- greedy nnz-balanced and Eq.1
   cost-model-guided 1D row-panel / 2D grid partitions;
 * :mod:`~repro.shard.plan` -- per-shard plans through the shared
   :class:`~repro.engine.cache.PlanCache` under derived, shard-aware
   fingerprint keys;
-* :mod:`~repro.shard.executor` -- scatter-gather execution with a
-  per-shard :class:`ShardReport` breakdown;
+* :mod:`~repro.shard.executor` -- execution (``C`` once, every shard
+  priced) with a per-shard :class:`ShardReport` breakdown;
 * :class:`ShardedSpMM` -- the one-matrix facade (partition + preprocess
   once, multiply many), mirrored by
   :meth:`repro.engine.SpMMEngine.multiply_sharded` for serving workloads.

@@ -1,20 +1,15 @@
-"""Scatter-gather execution of a sharded SpMM.
+"""Execution of a sharded SpMM: ``C`` once on the host, every shard priced.
 
-Each shard multiplies its submatrix by the matching column range of ``B``
-(scatter); the per-shard results are assembled into the full ``C``
-(gather).  ``C`` is allocated once and every shard writes its own row
-slice of it in place:
-
-* **row panels** (one column panel) assign disjoint row ranges of ``C``;
-* **2D grids** ``+=`` each cell's partial product into its row panel's
-  slice as soon as the cell completes, so no per-cell partial matrices
-  accumulate in memory.
-
-Shards run one after another in the caller's thread: the speedups of
-sharding are in simulated device time (per-shard tuning, the
-device-parallel critical path), which a host pool does not change.  The
-per-shard breakdown is reported as :class:`ShardReport` rows inside a
-:class:`ShardedReport`.
+A plan serves ``C`` from ``A``'s CSR in its original order, whatever its
+layout (see :meth:`repro.core.plan.ExecutionPlan.execute`).  So the host
+result of a sharded multiply is just ``A @ B``: it is computed once, with
+the parent matrix's cached operator, and no per-shard partial product is
+gathered.  Each shard's plan then prices its submatrix against its
+column range of ``B`` on the simulated device
+(:meth:`~repro.core.plan.ExecutionPlan.price`).  The speedups of sharding
+are in simulated device time (per-shard tuning, the device-parallel
+critical path).  The per-shard breakdown is reported as
+:class:`ShardReport` rows inside a :class:`ShardedReport`.
 """
 
 from __future__ import annotations
@@ -51,7 +46,8 @@ class ShardReport:
     cache_hit: bool
     #: simulated device time of this shard's kernel run
     simulated_ms: float
-    #: host wall-clock of this shard's execute (including gather)
+    #: host wall-clock of pricing this shard (its share of ``C`` is
+    #: computed with the whole matrix, outside this time)
     wall_ms: float
     #: this shard's share of the total nnz, relative to a perfect split
     #: (1.0 = exactly nnz / n_shards)
@@ -67,7 +63,7 @@ class ShardedReport:
     #: nnz imbalance factor of the partition (max shard / ideal shard)
     imbalance: float
     shards: List[ShardReport] = field(default_factory=list)
-    #: host wall-clock of the whole scatter-gather
+    #: host wall-clock of the whole sharded multiply (``C`` plus pricing)
     wall_ms: float = 0.0
     #: device-serial simulated time (sum over shards)
     simulated_ms: float = 0.0
@@ -144,7 +140,7 @@ def execute_partition(
     *,
     tracer=None,
 ) -> Tuple[np.ndarray, ShardedReport]:
-    """Run every shard against ``B`` and gather the full ``C = A @ B``.
+    """Compute ``C = A @ B`` and price every shard against ``B``.
 
     ``entries`` must correspond one-to-one (and in order) to
     ``partition.shards``.  ``tracer`` (a :class:`repro.obs.Tracer`)
@@ -154,22 +150,17 @@ def execute_partition(
     tracer = tracer if tracer is not None else NULL_TRACER
     A = partition.A
     B_arr = np.asarray(B)
-    was_vector = B_arr.ndim == 1
-    if was_vector:
-        B_arr = B_arr.reshape(-1, 1)
-    if B_arr.ndim != 2 or B_arr.shape[0] != A.ncols:
+    if B_arr.ndim not in (1, 2) or B_arr.shape[0] != A.ncols:
         raise ValueError(
             f"operand B must have {A.ncols} rows to match A {A.shape}, got {B_arr.shape}"
         )
     if len(entries) != len(partition.shards):
         raise ValueError("one ShardPlanEntry per shard expected")
 
-    out_dtype = np.result_type(A.dtype, B_arr.dtype, np.float32)
-    C = np.zeros((A.nrows, B_arr.shape[1]), dtype=out_dtype)
-    multi_panel = partition.grid[1] > 1
     ideal_nnz = A.nnz / len(partition.shards) if partition.shards else 0.0
-
     start = time.perf_counter()
+    C = A.spmm(B_arr)
+    n_cols = C.shape[1]
     reports = []
     for entry in entries:
         shard = entry.shard
@@ -178,11 +169,7 @@ def execute_partition(
             continue
         with tracer.span("shard.run", shard=shard.index, backend=entry.backend) as span:
             shard_start = time.perf_counter()
-            C_sub, report = entry.plan.execute(B_arr[shard.col_start : shard.col_stop])
-            if multi_panel:
-                C[shard.row_start : shard.row_stop] += C_sub
-            else:
-                C[shard.row_start : shard.row_stop] = C_sub
+            report = entry.plan.price(n_cols)
             shard_ms = 1e3 * (time.perf_counter() - shard_start)
             span.set(nnz=shard.nnz, wall_ms=round(shard_ms, 3))
         reports.append(
@@ -190,7 +177,7 @@ def execute_partition(
         )
     wall_ms = 1e3 * (time.perf_counter() - start)
 
-    if was_vector:
+    if B_arr.ndim == 1:
         C = C.ravel()
     return C, ShardedReport(
         grid=partition.grid,

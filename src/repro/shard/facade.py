@@ -5,7 +5,7 @@ Where :class:`~repro.core.smat.SMaT` binds one matrix to one plan,
 and per-shard preprocessing run once at construction (through an
 :class:`~repro.engine.SpMMEngine` plan cache, so shards are shared with
 any other sharded or engine query over the same matrix), and every
-:meth:`multiply` is a scatter-gather over the prepared shard plans.
+:meth:`multiply` computes ``C`` once and prices every prepared shard plan.
 
 Example
 -------
@@ -161,8 +161,8 @@ class ShardedSpMM:
 
     # -- execution ------------------------------------------------------------
     def multiply(self, B: np.ndarray, *, return_report: bool = False):
-        """Compute ``C = A @ B`` over the prepared shard plans, one shard
-        after another in the calling thread.
+        """Compute ``C = A @ B`` once and price the prepared shard plans,
+        one shard after another in the calling thread.
 
         Returns ``C``, or ``(C, ShardedReport)`` with ``return_report``.
         """
@@ -172,7 +172,7 @@ class ShardedSpMM:
         return C, report
 
     def shard_table(self, B: Optional[np.ndarray] = None) -> List[dict]:
-        """Per-shard breakdown rows (runs one multiply to time the shards;
+        """Per-shard breakdown rows (runs one multiply to price the shards;
         pass ``B`` to control the operand, default is an 8-column ones
         matrix)."""
         if B is None:

@@ -8,14 +8,13 @@ panels so every shard can get its own reordering, tuned block shape, and
 :class:`~repro.core.plan.ExecutionPlan`:
 
 * **1D row panels** -- ``grid = (r, 1)``: each shard owns a contiguous
-  row range and the full column dimension; results concatenate.
+  row range and the full column dimension.
 * **2D grids** -- ``grid = (r, c)``: rows are split into ``r`` panels and
   each row panel is *independently* split into ``c`` column panels, so a
   cell's non-zero count stays close to ``nnz / (r*c)`` even when the
   matrix is banded or block-diagonal (a shared global column split would
-  concentrate everything in the diagonal cells).  Cells of one row panel
-  produce partial products over disjoint column ranges of ``B`` that the
-  gather adds into the row panel's slice of ``C``.
+  concentrate everything in the diagonal cells).  Each cell is priced
+  against its column range of ``B``.
 
 Two balancing modes:
 

@@ -23,7 +23,7 @@ step:
 Every workload accepts ``engine=`` (share a serving engine and its plan
 cache) or ``policy=ExecutionPolicy(...)`` for its private engine:
 ``tune=True`` (plans built through the auto-tuner) and ``sharded=True`` /
-``grid=`` (scatter-gather over per-shard plans).
+``grid=`` (per-shard plans price the shards).
 
 Quick start
 -----------

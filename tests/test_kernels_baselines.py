@@ -1,8 +1,11 @@
 """Tests for the baseline kernels (cuSPARSE, DASP, Magicube, cuBLAS)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.formats import CSRMatrix
 from repro.gpu import A100_SXM4_40GB
 from repro.kernels import (
     CublasDenseKernel,
@@ -149,6 +152,27 @@ class TestCuBLAS:
         A = uniform_random(1024, 1024, density=0.01, rng=np.random.default_rng(0))
         with pytest.raises(KernelUnsupportedError):
             kernel.prepare(A)
+
+    def test_prepare_keeps_no_dense_operand(self):
+        """The counters need only the shape and nnz: preparing neither
+        allocates nor keeps an ``M x K`` array."""
+        A = uniform_random(1500, 1200, density=0.002, rng=np.random.default_rng(3))
+        kernel = CublasDenseKernel()
+        tracemalloc.start()
+        try:
+            kernel.prepare(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < A.nrows * A.ncols  # under one byte per dense element
+        assert not any(isinstance(v, np.ndarray) for v in vars(kernel).values())
+        B = np.ones((A.ncols, 4), dtype=np.float32)
+        np.testing.assert_allclose(kernel.run(B).C, A.spmm(B), rtol=1e-6)
+
+    def test_oversized_shape_still_rejected_by_default_device(self):
+        A = CSRMatrix.empty((400_000, 400_000))  # 320 GB once densified
+        with pytest.raises(KernelUnsupportedError):
+            CublasDenseKernel().prepare(A)
 
     def test_dense_gemm_near_memory_or_compute_bound(self, rng):
         A = band_matrix(2048, 2047, rng=rng)  # fully dense

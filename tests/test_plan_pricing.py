@@ -1,0 +1,168 @@
+"""The memoised device price of a plan equals a fresh kernel's, bit for bit.
+
+A plan serves ``C`` from ``A``'s CSR and prices its layout through
+:meth:`repro.kernels.SpMMKernel.price`, which keeps the counters and the
+efficiency of each ``B`` width.  These tests pin that the memo changes
+nothing: every counter field, ``simulated_ms``, ``bound`` and
+``kernel_meta`` equal those of a newly prepared kernel that never priced
+before, on the first call and on repeats, past the memo's capacity, and
+from concurrent callers.  The memo holds plain data only, so a closed
+plan is freed by reference counting alone.
+"""
+
+import gc
+import sys
+import threading
+import weakref
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from repro import SMaTConfig
+from repro.core.plan import ExecutionPlan
+from repro.gpu import KernelCounters, KernelEfficiency
+from repro.kernels import PRICE_MEMO_SIZE, get_kernel
+from repro.matrices import uniform_random
+
+BACKENDS = ("smat", "cusparse", "dasp", "magicube", "cublas")
+WIDTHS = (1, 8, 17, 32)
+
+
+@pytest.fixture(scope="module")
+def A():
+    return uniform_random(160, 144, density=0.04, rng=np.random.default_rng(11))
+
+
+def _fresh_price(plan: ExecutionPlan, n_cols: int):
+    """Counters and timing of a newly prepared kernel, priced without a memo."""
+    cfg = plan.config
+    kwargs = {}
+    if plan.backend == "smat":
+        kwargs = {"variant": cfg.variant, "block_shape": cfg.resolved_block_shape()}
+    kernel = get_kernel(plan.backend, cfg.arch, cfg.precision, **kwargs)
+    kernel.prepare(plan.permuted)
+    counters = kernel._counters(n_cols)
+    timing = kernel.cost_model.simulate(
+        counters,
+        kernel._efficiency(counters),
+        launch_overhead_us=kernel.launch_overhead_us,
+        n_launches=int(counters.extra.get("launches", 1)),
+    )
+    return counters, timing, kernel._meta(counters, timing)
+
+
+def _assert_counters_equal(got: KernelCounters, want: KernelCounters):
+    for f in fields(KernelCounters):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_report_equals_fresh_kernel(A, backend):
+    plan = ExecutionPlan.build(A, SMaTConfig(kernel=backend))
+    for repeat in range(2):
+        for n in WIDTHS:
+            B = np.random.default_rng(n).random((A.ncols, n), dtype=np.float32)
+            _, report = plan.execute(B)
+            counters, timing, meta = _fresh_price(plan, n)
+            assert report.simulated_ms == timing.time_ms, (repeat, n)
+            assert report.gflops == timing.gflops
+            assert report.bound == timing.bound
+            assert report.useful_flops == counters.useful_flops
+            assert report.kernel_meta == meta
+            memoised = plan.kernel.price(n).counters
+            _assert_counters_equal(memoised, counters)
+            assert plan.kernel.price(n).counters is memoised  # computed once
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_mutated_kernel_meta_does_not_leak(A, backend):
+    plan = ExecutionPlan.build(A, SMaTConfig(kernel=backend))
+    B = np.ones((A.ncols, 8), dtype=np.float32)
+    _, first = plan.execute(B)
+    expected = dict(first.kernel_meta)
+    first.kernel_meta.clear()
+    first.kernel_meta["format"] = "poisoned"
+    _, second = plan.execute(B)
+    assert second.kernel_meta == expected
+
+
+def test_memo_counters_are_read_only(A):
+    plan = ExecutionPlan.build(A, SMaTConfig(kernel="smat"))
+    cycles = plan.kernel.price(8).counters.warp_work_cycles
+    with pytest.raises(ValueError):
+        cycles[0] = 0.0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_more_widths_than_the_memo_holds(A, backend):
+    plan = ExecutionPlan.build(A, SMaTConfig(kernel=backend))
+    widths = list(range(1, 2 * PRICE_MEMO_SIZE + 2))
+    first = {n: plan.price(n) for n in widths}
+    assert len(plan.kernel._prices) == PRICE_MEMO_SIZE
+    for n in reversed(widths):  # evicted widths are priced again
+        again = plan.price(n)
+        assert again.simulated_ms == first[n].simulated_ms
+        assert again.kernel_meta == first[n].kernel_meta
+        assert again.simulated_ms == _fresh_price(plan, n)[1].time_ms
+    assert len(plan.kernel._prices) == PRICE_MEMO_SIZE
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_concurrent_callers_get_identical_reports(A, backend):
+    plan = ExecutionPlan.build(A, SMaTConfig(kernel=backend))
+    # more widths than the memo holds, so callers also race on eviction
+    widths = (1, 8, 17, 32, 3, 9, 2, 5, 11, 40)
+    operands = {n: np.ones((A.ncols, n), dtype=np.float32) for n in widths}
+    expected = {}
+    for n in widths:
+        counters, timing, meta = _fresh_price(plan, n)
+        expected[n] = (timing.time_ms, timing.bound, counters.useful_flops, meta)
+    errors = []
+    barrier = threading.Barrier(4)
+
+    def caller(offset):
+        barrier.wait()
+        for i in range(40):
+            n = widths[(i + offset) % len(widths)]
+            _, r = plan.execute(operands[n])
+            got = (r.simulated_ms, r.bound, r.useful_flops, r.kernel_meta)
+            if got != expected[n]:
+                errors.append((n, got, expected[n]))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(plan.kernel._prices) <= PRICE_MEMO_SIZE
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_memo_holds_plain_data(A, backend):
+    """No closure over the kernel in the memo: a priced plan is freed by
+    reference counting alone, without the cycle collector."""
+    plan = ExecutionPlan.build(A, SMaTConfig(kernel=backend))
+    for n in WIDTHS:
+        plan.price(n)
+    for counters, efficiency in plan.kernel._prices.values():
+        assert type(counters) is KernelCounters
+        assert type(efficiency) is KernelEfficiency
+    kernel_ref = weakref.ref(plan.kernel)
+    gc.disable()
+    try:
+        del plan
+        assert kernel_ref() is None
+    finally:
+        gc.enable()
