@@ -17,8 +17,8 @@ script:
   throughput;
 * ``python -m repro tune --matrix cant --scale 0.1`` runs the per-matrix
   auto-tuner (block shape x reordering search) and prints the search
-  table: every candidate with its predicted cost, measured time, and the
-  winner;
+  table: every candidate with its predicted and simulated device time,
+  and the winner;
 * ``python -m repro shard --matrix cant --scale 0.1 --grid 2x2`` splits
   the matrix into a balanced shard grid, prepares one plan per shard, and
   prints the per-shard breakdown (nnz, imbalance, chosen config, time)
@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=_positive_int,
         default=8,
-        help="measurement budget (candidates given a real timed run)",
+        help="measurement budget (candidates built and priced on the simulated device)",
     )
     p_tune.add_argument(
         "--reorderers",
@@ -157,9 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="smat",
         help="backend to tune for: a library name, or 'auto' to grow the search "
         "space with a backend axis (the per-matrix library winner)",
-    )
-    p_tune.add_argument(
-        "--repeats", type=_positive_int, default=1, help="timed runs per measured candidate"
     )
     p_tune.add_argument(
         "--cache",
@@ -515,11 +512,7 @@ def _cmd_tune(args) -> int:
         if args.reorderers
         else None
     )
-    tuner_kwargs = dict(
-        n_cols=args.n,
-        max_measure=args.budget,
-        repeats=args.repeats,
-    )
+    tuner_kwargs = dict(n_cols=args.n, max_measure=args.budget)
     if reorderers:
         tuner_kwargs["reorderers"] = reorderers
     tuner = Tuner(cache=False if args.no_cache else args.cache, **tuner_kwargs)
@@ -538,7 +531,7 @@ def _cmd_tune(args) -> int:
     default = result.default
     print(
         f"winner: {best.candidate.label} "
-        f"(measured {best.simulated_ms:.4f} ms vs default "
+        f"(simulated {best.simulated_ms:.4f} ms vs default "
         f"{default.candidate.label} {default.simulated_ms:.4f} ms -> "
         f"{result.tuned_vs_default:.2f}x); search took {result.search_ms:.0f} ms"
     )

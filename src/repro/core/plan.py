@@ -29,7 +29,6 @@ from ..formats import BCSRMatrix, CSRMatrix
 from ..formats.csr import matrix_fingerprint
 from ..kernels import (
     KERNEL_REGISTRY,
-    KernelResult,
     KernelUnsupportedError,
     SpMMKernel,
     get_kernel,
@@ -333,18 +332,6 @@ class ExecutionPlan:
         return self.A.shape
 
     # -- execution ------------------------------------------------------------------
-    def run_kernel(self, B: np.ndarray) -> KernelResult:
-        """Run the kernel through its own layout and return the full
-        :class:`~repro.kernels.base.KernelResult` (result rows are in the
-        permuted order)."""
-        B_arr = np.asarray(B)
-        if B_arr.ndim == 1:
-            B_arr = B_arr.reshape(-1, 1)
-        if self.col_perm is not None:
-            # A' = P_r A P_c^T, so  A B = P_r^T A' (P_c B)
-            B_arr = B_arr[self.col_perm]
-        return self.kernel.run(B_arr)
-
     def price(self, n_cols: int) -> MultiplyReport:
         """The :class:`MultiplyReport` of one multiply against an
         ``n_cols``-wide ``B``: the kernel's simulated device price of this
@@ -361,12 +348,7 @@ class ExecutionPlan:
             preprocessing=self.report,
         )
 
-    def execute(
-        self,
-        B: np.ndarray,
-        *,
-        keep_permuted: bool = False,
-    ) -> Tuple[np.ndarray, MultiplyReport]:
+    def execute(self, B: np.ndarray) -> Tuple[np.ndarray, MultiplyReport]:
         """Compute ``C = A @ B`` and return it with a :class:`MultiplyReport`.
 
         ``C`` is one scipy CSR product of ``A`` in its original order (the
@@ -374,15 +356,10 @@ class ExecutionPlan:
         report prices the plan's layout on the simulated device (see
         :meth:`price`).  ``B`` may be a ``(K, N)`` dense matrix or a
         length-``K`` vector (SpMV); a vector input yields a vector output.
-        With ``keep_permuted`` the result is in the permuted row order
-        (``P A B``, i.e. ``C[row_perm]``).
         """
         B_arr = np.asarray(B)
         C = self.A.spmm(B_arr)
         report = self.price(C.shape[1])
-        if keep_permuted and self.report.applied:
-            # row i of the permuted result is original row row_perm[i]
-            C = C[self.row_perm]
         if B_arr.ndim == 1:
             C = C.ravel()
         return C, report

@@ -34,7 +34,6 @@ from typing import Optional
 import numpy as np
 
 from ..formats import BCSRMatrix, CSRMatrix
-from ..kernels import KernelResult
 from .config import SMaTConfig
 from .plan import ExecutionPlan, MultiplyReport, PreprocessReport
 
@@ -115,7 +114,6 @@ class SMaT:
         B: np.ndarray,
         *,
         return_report: bool = False,
-        keep_permuted: bool = False,
     ):
         """Compute ``C = A @ B``.
 
@@ -127,26 +125,15 @@ class SMaT:
         return_report:
             Also return a :class:`MultiplyReport` with the simulated
             performance figures.
-        keep_permuted:
-            Return the result in the *permuted* row order (``P A B``)
-            instead of undoing the row permutation.  Column permutations
-            additionally require permuting ``B``; this is handled
-            internally either way.
 
         Returns
         -------
         C or (C, report)
         """
-        C, report = self.plan.execute(B, keep_permuted=keep_permuted)
+        C, report = self.plan.execute(B)
         if not return_report:
             return C
         return C, report
-
-    def run_kernel(self, B: np.ndarray) -> KernelResult:
-        """Low-level access: run the kernel and return the full
-        :class:`~repro.kernels.base.KernelResult` (result rows are in the
-        permuted order)."""
-        return self.plan.run_kernel(B)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

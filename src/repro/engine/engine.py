@@ -84,7 +84,6 @@ class BatchItem:
     B: np.ndarray
     tag: Optional[object] = None
     config: Optional[SMaTConfig] = None
-    keep_permuted: bool = False
 
 
 @dataclass
@@ -301,7 +300,6 @@ class SpMMEngine:
         *,
         config: Optional[SMaTConfig] = None,
         return_report: bool = False,
-        keep_permuted: bool = False,
     ):
         """Compute ``C = A @ B`` through the plan cache.
 
@@ -309,15 +307,14 @@ class SpMMEngine:
         the prepared state is shared with every other call that uses the
         same matrix and configuration.  With a ``sharded`` policy the
         call routes through :meth:`multiply_sharded` (the report, when
-        requested, is then a :class:`~repro.shard.ShardedReport`;
-        ``keep_permuted`` does not apply to the sharded result).
+        requested, is then a :class:`~repro.shard.ShardedReport`).
         """
         self._require_open()
         if self.policy.sharded:
             return self.multiply_sharded(A, B, config=config, return_report=return_report)
         with self.tracer.span("engine.multiply") as span:
             plan, hit = self._plan_with_hit(A, config)
-            C, report = plan.execute(B, keep_permuted=keep_permuted)
+            C, report = plan.execute(B)
             span.set(cache_hit=hit, backend=report.backend)
         if not return_report:
             return C
@@ -330,7 +327,7 @@ class SpMMEngine:
         with self.tracer.span("engine.execute", parent=parent, index=index) as span:
             start = time.perf_counter()
             plan, hit = self._plan_with_hit(item.A, item.config)
-            C, report = plan.execute(item.B, keep_permuted=item.keep_permuted)
+            C, report = plan.execute(item.B)
             wall_ms = 1e3 * (time.perf_counter() - start)
             span.set(cache_hit=hit, backend=report.backend, wall_ms=round(wall_ms, 3))
         self._latency.observe(wall_ms)
@@ -345,7 +342,6 @@ class SpMMEngine:
         *,
         tag: Optional[object] = None,
         config: Optional[SMaTConfig] = None,
-        keep_permuted: bool = False,
     ) -> BatchResult:
         """Execute one multiply synchronously and return the full
         :class:`BatchResult` (cache-hit flag + wall time included).
@@ -356,9 +352,7 @@ class SpMMEngine:
         request from this.
         """
         self._require_open()
-        return self._execute_item(
-            0, BatchItem(A, B, tag=tag, config=config, keep_permuted=keep_permuted)
-        )
+        return self._execute_item(0, BatchItem(A, B, tag=tag, config=config))
 
     # -- batched execution ----------------------------------------------------
     @staticmethod

@@ -27,7 +27,7 @@ from .counters import KernelCounters
 from .memory import AccessPattern, MemoryModel
 from .pipeline import PipelineConfig, per_block_cycles, warp_total_cycles
 from .precision import MMAShape, Precision, get_precision
-from .scheduler import ScheduleResult, assign_round_robin, makespan_cycles
+from .scheduler import ScheduleResult, makespan_cycles
 from .tensorcore import TensorCoreModel
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "KernelCounters",
     "ScheduleResult",
     "makespan_cycles",
-    "assign_round_robin",
     "CostModel",
     "KernelEfficiency",
     "SimulatedTiming",

@@ -28,7 +28,7 @@ import numpy as np
 
 from .arch import GPUArchitecture
 
-__all__ = ["ScheduleResult", "makespan_cycles", "assign_round_robin"]
+__all__ = ["ScheduleResult", "makespan_cycles"]
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,6 @@ class ScheduleResult:
         if self.balanced_cycles <= 0:
             return 1.0
         return self.makespan_cycles / self.balanced_cycles
-
-
-def assign_round_robin(n_warps: int, n_sms: int) -> np.ndarray:
-    """SM index of each warp under round-robin launch-order assignment."""
-    return np.arange(n_warps, dtype=np.int64) % max(1, n_sms)
 
 
 def makespan_cycles(
@@ -84,12 +79,13 @@ def makespan_cycles(
     slots = concurrent_warps_per_sm or arch.warp_schedulers_per_sm
     n_sms = arch.num_sms
 
-    sm_of_warp = assign_round_robin(n_warps, n_sms)
-    # total work per SM
-    sm_work = np.bincount(sm_of_warp, weights=warp_cycles, minlength=n_sms)
-    # longest warp per SM
-    sm_longest = np.zeros(n_sms)
-    np.maximum.at(sm_longest, sm_of_warp, warp_cycles)
+    # round-robin dealing: warp i runs on SM i % n_sms, so row r of the
+    # zero-padded (rounds, n_sms) view is launch round r; the column sums
+    # add each SM's warps in launch order
+    dealt = np.zeros((-(-n_warps // n_sms), n_sms))
+    dealt.reshape(-1)[:n_warps] = warp_cycles
+    sm_work = dealt.sum(axis=0)
+    sm_longest = dealt.max(axis=0)
 
     per_sm_time = np.maximum(sm_work / slots, sm_longest)
     makespan = float(per_sm_time.max())

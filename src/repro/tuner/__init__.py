@@ -11,9 +11,10 @@ This package turns those ablations into a self-optimising subsystem:
   analytical model (Eq. 1 fitted through the real kernel + cost model,
   Eq. 2 block-count bounds) so hopeless candidates are pruned before any
   expensive reordering runs,
-* :class:`~repro.tuner.search.Tuner` measures the survivors with real
-  timed runs and returns a :class:`~repro.tuner.search.TuningResult`
-  whose winner is never worse than the paper's default, and
+* :class:`~repro.tuner.search.Tuner` builds the survivors, prices each
+  plan on the simulated device, and returns a
+  :class:`~repro.tuner.search.TuningResult` whose winner is never worse
+  than the paper's default, and
 * :class:`~repro.tuner.cache.TuningCache` persists winners on disk keyed
   by matrix fingerprint, so ``SMaTConfig(reorder="auto")`` and
   ``SpMMEngine(policy=ExecutionPolicy(tune=True))`` pay the search once

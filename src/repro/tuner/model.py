@@ -1,7 +1,7 @@
 """Model-guided pruning of the tuning search space.
 
 Measuring a candidate is expensive: it runs a full preprocessing pass
-(reordering + BCSR conversion) before the kernel can be timed.  This
+(reordering + BCSR conversion) before the kernel can be priced.  This
 module prices candidates *without* reordering, using the paper's own
 machinery:
 
@@ -9,7 +9,7 @@ machinery:
    precision / arch / operand width): the linear runtime model of Eq. 1,
    ``T = T_e * n_e + T_init``, is fitted with
    :class:`~repro.core.perfmodel.LinearPerformanceModel` on a handful of
-   tiny synthetic matrices run through the real kernel and
+   tiny synthetic matrices priced through the real kernel and
    :class:`~repro.gpu.cost.CostModel` -- exactly the fit of Figure 2,
    just automated.  The predictor ``n_e`` is *each kernel's own* work
    measure (:meth:`~repro.kernels.base.SpMMKernel.tuning_work`): BCSR
@@ -113,16 +113,16 @@ def calibrate(
     """Fit Eq. 1 for one (backend, block shape, variant, precision, arch,
     N) point.
 
-    Runs the real kernel on tiny synthetic matrices and fits simulated
-    time against the kernel's own work measure
-    (:meth:`~repro.kernels.base.SpMMKernel.tuning_work`): BCSR block
+    Prices the real kernel on tiny synthetic matrices (no operand, no
+    host multiply) and fits simulated time against the kernel's own
+    work measure (:meth:`~repro.kernels.base.SpMMKernel.tuning_work`): BCSR block
     counts for SMaT (band matrices of varying bandwidth, the Figure-2
     fit), nnz for the CSR libraries, densified elements for cuBLAS (the
     sample dimensions vary so the measure spans a range).  Memoised
     process-wide.
 
     May raise :class:`~repro.kernels.KernelUnsupportedError` when the
-    backend cannot run even the calibration samples (e.g. a simulated
+    backend cannot prepare even the calibration samples (e.g. a simulated
     device too small to densify them); the search treats such a backend
     as unsupported.
     """
@@ -132,11 +132,9 @@ def calibrate(
     if cached is not None:
         return cached
 
-    rng = np.random.default_rng(0)
     work = []
     times = []
     if kernel == "smat":
-        B = rng.normal(size=(CALIBRATION_DIM, n_cols)).astype(np.float32)
         for bw in CALIBRATION_BANDWIDTHS:
             A = band_matrix(CALIBRATION_DIM, bw, rng=np.random.default_rng(bw))
             k = SMaTKernel(
@@ -146,16 +144,15 @@ def calibrate(
                 block_shape=block_shape,
             )
             k.prepare(A)
-            result = k.run(B)
+            result = k.price(n_cols)
             work.append(float(result.counters.extra.get("n_blocks", 0.0)))
             times.append(result.timing.time_s)
     else:
         for dim, bw in CALIBRATION_SAMPLES:
             A = band_matrix(dim, bw, rng=np.random.default_rng(bw))
-            B = rng.normal(size=(dim, n_cols)).astype(np.float32)
             k = get_kernel(kernel, config.arch, config.precision)
             k.prepare(A)
-            result = k.run(B)
+            result = k.price(n_cols)
             work.append(k.tuning_work(A))
             times.append(result.timing.time_s)
     fit = LinearPerformanceModel().fit(work, times)

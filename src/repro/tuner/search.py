@@ -15,11 +15,13 @@ triple:
    (:mod:`repro.tuner.model`) and discard candidates whose *optimistic*
    predicted time is worse than the best *guaranteed* time -- they cannot
    win even with a perfect permutation,
-3. measure the survivors with real timed runs (a full
-   :class:`~repro.core.plan.ExecutionPlan` build plus an executed
-   multiply), and
+3. measure the survivors: build each one's
+   :class:`~repro.core.plan.ExecutionPlan` and price its layout on the
+   simulated device (:meth:`~repro.core.plan.ExecutionPlan.price`; no
+   operand, no host multiply), and
 4. return a :class:`TuningResult` whose winner is the candidate with the
-   lowest measured multiply time.
+   lowest simulated multiply time; ties go to the default, then to
+   candidate order.
 
 The paper's default configuration is always measured, so the winner is
 *never worse than the default* in the selection metric.  Results persist
@@ -35,8 +37,6 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..core.config import SMaTConfig
 from ..core.plan import ExecutionPlan, matrix_fingerprint
@@ -86,8 +86,6 @@ class CandidateOutcome:
     error: Optional[str] = None
     #: measured (simulated device) multiply time -- the selection metric
     simulated_ms: float = float("inf")
-    #: host wall-clock of one multiply on the built plan
-    wall_ms: float = float("inf")
     #: host wall-clock of the preprocessing (reorder + BCSR build)
     preprocess_ms: float = 0.0
     #: block count of the plan that was actually built
@@ -108,10 +106,9 @@ class CandidateOutcome:
         return {
             "candidate": self.candidate.label,
             "kernel": self.candidate.kernel,
-            "predicted_ms": self.estimate.optimistic_ms,
+            "predicted_sim_ms": self.estimate.optimistic_ms,
             "blocks": self.blocks_after if self.measured else self.estimate.blocks_now,
-            "measured_ms": self.simulated_ms if self.measured else float("nan"),
-            "wall_ms": self.wall_ms if self.measured else float("nan"),
+            "sim_ms": self.simulated_ms if self.measured else float("nan"),
             "status": status,
         }
 
@@ -150,12 +147,12 @@ class TuningResult:
 
     @property
     def n_measured(self) -> int:
-        """Candidates given a real timed run."""
+        """Candidates built and priced on the simulated device."""
         return sum(1 for o in self.outcomes if o.measured)
 
     @property
     def n_pruned(self) -> int:
-        """Candidates rejected by the analytical model without a run."""
+        """Candidates rejected by the analytical model without a build."""
         return sum(1 for o in self.outcomes if o.pruned)
 
     def table(self) -> List[dict]:
@@ -241,14 +238,9 @@ class Tuner:
         the base configuration -- the full registry for
         ``SMaTConfig(kernel="auto")``, a single backend otherwise.
     max_measure:
-        Measurement budget: at most this many surviving candidates get a
-        real timed run (the rest are skipped, best-predicted first wins a
-        slot).  The default configuration always gets a slot.
-    repeats:
-        Timed executions per measured candidate; the wall-clock is the
-        minimum over repeats (the simulated time is deterministic).
-    seed:
-        Seed of the dense operand used for the measured runs.
+        Measurement budget: at most this many surviving candidates are
+        built and priced (the rest are skipped, best-predicted first wins
+        a slot).  The default configuration always gets a slot.
     """
 
     def __init__(
@@ -261,8 +253,6 @@ class Tuner:
         include_column_permutation: bool = False,
         kernels: Optional[Sequence[str]] = None,
         max_measure: int = 8,
-        repeats: int = 1,
-        seed: int = 0,
         tracer=None,
     ):
         if cache is False:
@@ -273,16 +263,12 @@ class Tuner:
             self.cache = TuningCache(cache)
         if max_measure < 1:
             raise ValueError("max_measure must be >= 1")
-        if repeats < 1:
-            raise ValueError("repeats must be >= 1")
         self.n_cols = int(n_cols)
         self.reorderers = tuple(reorderers)
         self.block_shapes = tuple(tuple(s) for s in block_shapes) if block_shapes else None
         self.include_column_permutation = bool(include_column_permutation)
         self.kernels = tuple(k.lower() for k in kernels) if kernels else None
         self.max_measure = int(max_measure)
-        self.repeats = int(repeats)
-        self.seed = int(seed)
         # the engine shares its tracer after construction; a bare tuner
         # stays on the disabled (no-op) one
         from ..obs.trace import NULL_TRACER
@@ -394,7 +380,7 @@ class Tuner:
                 )
                 outcomes.append(CandidateOutcome(candidate=cand, estimate=estimate))
             except KernelUnsupportedError as exc:
-                # the backend cannot even run the calibration samples:
+                # the backend cannot even prepare the calibration samples:
                 # keep the candidate in the table, but never measure it
                 outcomes.append(
                     CandidateOutcome(
@@ -422,19 +408,17 @@ class Tuner:
         # *successful* measurements -- a candidate that turns out
         # unsupported at build time frees its slot for the next-best one
         viable.sort(key=lambda o: o.estimate.optimistic_s)
-        rng = np.random.default_rng(self.seed)
-        B = rng.normal(size=(A.ncols, self.n_cols)).astype(np.float32)
         default_outcome = next(o for o in outcomes if o.candidate == default)
         measured_count = 0
         if not default_outcome.unsupported:
-            self._measure(A, base, default_outcome, B)
+            self._measure(A, base, default_outcome)
             measured_count += int(default_outcome.measured)
         for outcome in viable:
             if outcome is default_outcome:
                 continue
             if measured_count >= self.max_measure:
                 break
-            self._measure(A, base, outcome, B)
+            self._measure(A, base, outcome)
             measured_count += int(outcome.measured)
 
         if measured_count < self.max_measure and any(o.unsupported for o in viable):
@@ -448,7 +432,7 @@ class Tuner:
             ):
                 if measured_count >= self.max_measure:
                     break
-                self._measure(A, base, outcome, B)
+                self._measure(A, base, outcome)
                 measured_count += int(outcome.measured)
 
         measured = [o for o in outcomes if o.measured]
@@ -462,11 +446,9 @@ class Tuner:
             raise KernelUnsupportedError(
                 f"no tuning candidate could run on this matrix ({errors})"
             )
-        # select by measured device time; prefer the default on exact ties
-        best = min(
-            measured,
-            key=lambda o: (o.simulated_ms, o is not default_outcome, o.wall_ms),
-        )
+        # select by simulated device time; exact ties go to the default,
+        # then to candidate order (min keeps the first of equal keys)
+        best = min(measured, key=lambda o: (o.simulated_ms, o is not default_outcome))
         result = TuningResult(
             fingerprint=matrix_fingerprint(A),
             base_config=base,
@@ -485,7 +467,6 @@ class Tuner:
         A: CSRMatrix,
         base: SMaTConfig,
         outcome: CandidateOutcome,
-        B: np.ndarray,
     ) -> None:
         cfg = outcome.candidate.expand(base)
         start = time.perf_counter()
@@ -499,15 +480,7 @@ class Tuner:
             outcome.pruned = False
             return
         outcome.preprocess_ms = 1e3 * (time.perf_counter() - start)
-        wall = float("inf")
-        simulated = float("inf")
-        for _ in range(self.repeats):
-            t0 = time.perf_counter()
-            _, report = plan.execute(B)
-            wall = min(wall, 1e3 * (time.perf_counter() - t0))
-            simulated = min(simulated, report.simulated_ms)
-        outcome.simulated_ms = simulated
-        outcome.wall_ms = wall
+        outcome.simulated_ms = plan.price(self.n_cols).simulated_ms
         outcome.blocks_after = plan.report.blocks_after
         outcome.applied = plan.report.applied
         outcome.measured = True

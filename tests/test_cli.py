@@ -106,7 +106,7 @@ class TestArgumentValidation:
             ["engine", "--n", "0"],
             ["tune", "--scale", "2"],
             ["tune", "--budget", "0"],
-            ["tune", "--repeats", "0"],
+            ["tune", "--repeats", "0"],  # removed flag: a usage error
             ["compare", "--scale", "-0.1"],
             ["compare", "--n", "0"],
             ["band", "--size", "0"],

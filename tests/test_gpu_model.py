@@ -14,7 +14,6 @@ from repro.gpu import (
     MemoryModel,
     Precision,
     TensorCoreModel,
-    assign_round_robin,
     get_architecture,
     get_precision,
     makespan_cycles,
@@ -158,8 +157,34 @@ class TestMemoryModel:
 
 class TestScheduler:
     def test_round_robin_assignment(self):
-        sm = assign_round_robin(10, 4)
-        np.testing.assert_array_equal(sm, [0, 1, 2, 3, 0, 1, 2, 3, 0, 1])
+        """Warp i runs on SM i % num_sms: with one warp slot per SM and
+        power-of-two warp costs, the makespan names the busiest SM's warps."""
+        arch = A100_SXM4_40GB.with_overrides(num_sms=4)
+        res = makespan_cycles(2.0 ** np.arange(10), arch, concurrent_warps_per_sm=1)
+        assert res.makespan_cycles == 2**1 + 2**5 + 2**9  # SM 1 runs warps 1, 5, 9
+        assert res.n_sms_used == 4
+        assert makespan_cycles(np.ones(3), arch).n_sms_used == 3
+
+    @pytest.mark.parametrize("num_sms", [4, 108])
+    def test_matches_scatter_formula(self, num_sms):
+        """Bit-equal to the per-warp scatter it replaced (bincount for the
+        SM totals, maximum.at for the longest warp per SM)."""
+        arch = A100_SXM4_40GB.with_overrides(num_sms=num_sms)
+        slots = arch.warp_schedulers_per_sm
+        rng = np.random.default_rng(num_sms)
+        for n_warps in range(501):
+            warps = rng.exponential(scale=500.0, size=n_warps)
+            res = makespan_cycles(warps, arch)
+            if n_warps == 0:
+                assert (res.makespan_cycles, res.n_sms_used) == (0.0, 0)
+                continue
+            sm_of_warp = np.arange(n_warps) % num_sms
+            sm_work = np.bincount(sm_of_warp, weights=warps, minlength=num_sms)
+            sm_longest = np.zeros(num_sms)
+            np.maximum.at(sm_longest, sm_of_warp, warps)
+            expected = float(np.maximum(sm_work / slots, sm_longest).max())
+            assert res.makespan_cycles == expected, n_warps
+            assert res.n_sms_used == int(np.count_nonzero(sm_work)), n_warps
 
     def test_empty_schedule(self):
         res = makespan_cycles(np.array([]), A100_SXM4_40GB)

@@ -7,7 +7,8 @@ nothing: every counter field, ``simulated_ms``, ``bound`` and
 ``kernel_meta`` equal those of a newly prepared kernel that never priced
 before, on the first call and on repeats, past the memo's capacity, and
 from concurrent callers.  The memo holds plain data only, so a closed
-plan is freed by reference counting alone.
+plan is freed by reference counting alone.  The layout a blocked plan
+prices is ``A`` under the plan's own row (and column) permutation.
 """
 
 import gc
@@ -22,11 +23,18 @@ import pytest
 from repro import SMaTConfig
 from repro.core.plan import ExecutionPlan
 from repro.gpu import KernelCounters, KernelEfficiency
-from repro.kernels import PRICE_MEMO_SIZE, get_kernel
-from repro.matrices import uniform_random
+from repro.kernels import KERNEL_REGISTRY, PRICE_MEMO_SIZE, get_kernel
+from repro.matrices import hidden_cluster_matrix, uniform_random
 
 BACKENDS = ("smat", "cusparse", "dasp", "magicube", "cublas")
 WIDTHS = (1, 8, 17, 32)
+BLOCKED = tuple(name for name, cls in KERNEL_REGISTRY.items() if cls.wants_reordering)
+#: name -> (reorder, reorder_columns)
+LAYOUTS = {
+    "identity": ("identity", False),
+    "jaccard": ("jaccard", False),
+    "jaccard+columns": ("jaccard", True),
+}
 
 
 @pytest.fixture(scope="module")
@@ -166,3 +174,28 @@ def test_memo_holds_plain_data(A, backend):
         assert kernel_ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+@pytest.mark.parametrize("backend", BLOCKED)
+def test_priced_layout_is_the_permuted_matrix(backend, layout):
+    """The blocks a plan prices densify to ``A`` with the plan's row
+    permutation, then its column permutation, applied."""
+    reorder, columns = LAYOUTS[layout]
+    A = hidden_cluster_matrix(
+        192, 160, cluster_size=16, segments_per_cluster=4, segment_width=8,
+        row_fill=0.85, shuffle=True, rng=np.random.default_rng(5),
+    )
+    config = SMaTConfig(
+        kernel=backend, reorder=reorder, reorder_columns=columns, auto_skip_reordering=False
+    )
+    plan = ExecutionPlan.build(A, config)
+    expected = A.permute_rows(plan.row_perm)
+    if reorder != "identity":
+        assert not np.array_equal(plan.row_perm, np.arange(A.nrows))
+    if columns:
+        assert plan.col_perm is not None
+        expected = expected.permute_cols(plan.col_perm)
+    else:
+        assert plan.col_perm is None
+    np.testing.assert_array_equal(plan.bcsr.to_dense(), expected.to_dense())

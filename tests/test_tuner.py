@@ -9,6 +9,7 @@ import pytest
 from repro import ExecutionPolicy, SMaT, SMaTConfig
 from repro.core.plan import ExecutionPlan
 from repro.engine import SpMMEngine
+from repro.formats import BCSRMatrix, CSRMatrix, DenseMatrix, SRBCRSMatrix
 from repro.matrices import hidden_cluster_matrix
 from repro.tuner import (
     Candidate,
@@ -17,6 +18,7 @@ from repro.tuner import (
     block_shape_menu,
     candidate_space,
     calibrate,
+    clear_calibration_cache,
     estimate_candidate,
     tune,
 )
@@ -168,7 +170,7 @@ class TestSearch:
     def test_table_marks_single_winner(self, clustered):
         rows = tune(clustered).table()
         assert sum(1 for r in rows if r["winner"] == "*") == 1
-        assert {"candidate", "predicted_ms", "measured_ms", "status"} <= set(rows[0])
+        assert {"candidate", "predicted_sim_ms", "sim_ms", "status"} <= set(rows[0])
 
     def test_resolve_searches_once(self, clustered, tmp_path, monkeypatch):
         tuner = Tuner(cache=TuningCache(tmp_path / "t.json"))
@@ -184,8 +186,27 @@ class TestSearch:
     def test_custom_budget_and_space_validated(self):
         with pytest.raises(ValueError):
             Tuner(cache=False, max_measure=0)
-        with pytest.raises(ValueError):
-            Tuner(cache=False, repeats=0)
+
+    def test_search_runs_no_host_numerics(self, clustered, monkeypatch):
+        """Calibration and measurement price the simulated device only: a
+        search with every format's host multiply disabled picks the same
+        winner at the same simulated times."""
+
+        def outcomes(result):
+            return [(o.candidate.label, o.measured, o.simulated_ms) for o in result.outcomes]
+
+        config = SMaTConfig(kernel="auto")
+        expected = tune(clustered, config)
+
+        def no_numerics(*args, **kwargs):
+            raise AssertionError("tuning must not multiply on the host")
+
+        clear_calibration_cache()
+        for fmt in (CSRMatrix, BCSRMatrix, SRBCRSMatrix, DenseMatrix):
+            monkeypatch.setattr(fmt, "spmm", no_numerics)
+        result = tune(clustered, config)
+        assert result.best_config == expected.best_config
+        assert outcomes(result) == outcomes(expected)
 
 
 class TestAutoConfig:
