@@ -98,6 +98,21 @@ class MultiplyReport:
 # (kernels key their re-prepare check on it too); re-exported here unchanged.
 
 
+def _is_auto(config: SMaTConfig) -> bool:
+    """Whether ``config`` leaves the backend or the reordering to the tuner."""
+    return config.reorder.lower() == "auto" or config.resolved_kernel() == "auto"
+
+
+def _resolve_auto(A: CSRMatrix, config: SMaTConfig):
+    """Resolve an ``"auto"`` configuration through a tuner on the default
+    persistent cache: ``(config, plan)``, where ``plan`` is the search's
+    winning plan, or ``None`` on a cache hit.  Imported lazily to keep core
+    free of a tuner dependency."""
+    from ..tuner import Tuner
+
+    return Tuner().resolve_with_plan(A, config)
+
+
 def config_signature(config: SMaTConfig) -> Tuple:
     """Hashable signature of every configuration field that changes the
     prepared state (permutation, BCSR blocking, or kernel instance).
@@ -180,7 +195,9 @@ class ExecutionPlan:
         consumes ``A`` as-is, exactly the paper's comparison protocol --
         and only the backend's own format conversion runs.  ``"auto"``
         (for the kernel or the reordering) first resolves the
-        configuration through the per-matrix auto-tuner.
+        configuration through the per-matrix auto-tuner; when that runs a
+        search, the plan the search built for its winner is returned
+        as-is.
 
         May raise :class:`~repro.kernels.KernelUnsupportedError` when the
         backend cannot handle the matrix (e.g. the densified operand does
@@ -191,14 +208,13 @@ class ExecutionPlan:
             raise TypeError("ExecutionPlan expects a repro.formats.CSRMatrix input")
         config = (config or SMaTConfig()).validate()
 
-        if config.reorder.lower() == "auto" or config.resolved_kernel() == "auto":
+        if _is_auto(config):
             # tuned pipeline: resolve the configuration (backend, block
             # shape, reordering) through the auto-tuner (persistent-cache
-            # hit, or a one-off search); imported lazily to keep core free
-            # of a tuner dependency
-            from ..tuner import resolve_auto_config
-
-            config = resolve_auto_config(A, config)
+            # hit, or a one-off search that already built the winner)
+            config, plan = _resolve_auto(A, config)
+            if plan is not None:
+                return plan
 
         backend = config.resolved_kernel()
         block_shape = config.resolved_block_shape()
@@ -390,8 +406,10 @@ def build_with_fallback(
 
     ``tuner`` resolves the configuration before building (the engine's
     tuned path); without one, an ``"auto"`` kernel or reordering is
-    resolved here through :func:`~repro.tuner.resolve_auto_config` so the
-    failing backend is still known by name on fallback.
+    resolved here through a default :class:`~repro.tuner.Tuner` so the
+    failing backend is still known by name on fallback.  When the
+    resolution ran a search, the plan it built for its winner is served
+    and nothing is built again; a tuning-cache hit builds once.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) wraps the build attempt in a
     ``kernel.build`` span and any SMaT rebuild in a ``kernel.fallback``
@@ -402,14 +420,15 @@ def build_with_fallback(
     requested = config.resolved_kernel()
     failed = requested
     try:
+        plan = None
         if tuner is not None:
-            resolved = tuner.resolve(A, config)
-        elif requested == "auto" or config.reorder.lower() == "auto":
-            from ..tuner import resolve_auto_config
-
-            resolved = resolve_auto_config(A, config)
+            resolved, plan = tuner.resolve_with_plan(A, config)
+        elif _is_auto(config):
+            resolved, plan = _resolve_auto(A, config)
         else:
             resolved = config
+        if plan is not None:
+            return plan
         failed = resolved.resolved_kernel()
         with tracer.span("kernel.build", backend=failed) as span:
             plan = ExecutionPlan.build(A, resolved)

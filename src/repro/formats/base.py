@@ -33,6 +33,8 @@ __all__ = [
     "check_shape",
     "check_dense_operand",
     "as_value_dtype",
+    "run_starts",
+    "sort_unique",
     "DEFAULT_VALUE_DTYPE",
 ]
 
@@ -64,6 +66,31 @@ def index_dtype_for(*extents: int) -> np.dtype:
         if extent > _INT32_MAX:
             return np.dtype(np.int64)
     return np.dtype(np.int32)
+
+
+def run_starts(sorted_values: np.ndarray) -> np.ndarray:
+    """Mask of the elements of a sorted 1-D array that differ from their
+    predecessor (the first element always does): one ``True`` per run of
+    equal values."""
+    mask = np.empty(sorted_values.size, dtype=bool)
+    mask[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=mask[1:])
+    return mask
+
+
+def sort_unique(values: np.ndarray, *, return_counts: bool = False):
+    """``np.unique`` of a 1-D array by sort + :func:`run_starts`.
+
+    Same values (and counts) as ``np.unique``, several times faster on the
+    block ids of the preprocessing passes, where numpy's hash-based
+    ``unique`` is slow.
+    """
+    ordered = np.sort(np.asarray(values).ravel())
+    mask = run_starts(ordered)
+    unique = ordered[mask]
+    if not return_counts:
+        return unique
+    return unique, np.diff(np.flatnonzero(mask), append=ordered.size)
 
 
 def check_shape(shape: Tuple[int, int]) -> Tuple[int, int]:

@@ -32,6 +32,7 @@ from .base import (
     check_dense_operand,
     check_shape,
     index_dtype_for,
+    run_starts,
 )
 
 __all__ = ["BCSRMatrix"]
@@ -133,7 +134,7 @@ class BCSRMatrix(SparseFormat):
 
         The conversion is fully vectorised: each non-zero is assigned to a
         block via integer division of its coordinates, unique blocks are
-        found with a lexicographic sort, and values are scattered into
+        the run starts of the sorted block ids, and values are scattered into
         block-local positions.
         """
         h, w = _check_block_shape(block_shape)
@@ -166,10 +167,11 @@ class BCSRMatrix(SparseFormat):
         block_id = brow * n_block_cols + bcol
         order = np.argsort(block_id, kind="stable")
         block_id_sorted = block_id[order]
-        unique_ids, first_pos = np.unique(block_id_sorted, return_index=True)
+        starts = run_starts(block_id_sorted)
+        unique_ids = block_id_sorted[starts]
         n_blocks = unique_ids.size
         # index of the owning stored block for each nnz (in sorted order)
-        owner_sorted = np.searchsorted(unique_ids, block_id_sorted)
+        owner_sorted = np.cumsum(starts) - 1
 
         blocks = np.zeros((n_blocks, h, w), dtype=vals.dtype)
         blocks[owner_sorted, in_r[order], in_c[order]] = vals[order]

@@ -265,18 +265,7 @@ class CSRMatrix(SparseFormat):
             raise ValueError(f"row permutation must have length {self.nrows}")
         if not np.array_equal(np.sort(perm), np.arange(self.nrows)):
             raise ValueError("perm is not a permutation of 0..rows-1")
-        counts = np.diff(self.rowptr)[perm]
-        idx_dtype = self.rowptr.dtype
-        new_rowptr = np.zeros(self.nrows + 1, dtype=idx_dtype)
-        np.cumsum(counts, out=new_rowptr[1:])
-        new_col = np.empty_like(self.col)
-        new_val = np.empty_like(self.val)
-        for new_i, old_i in enumerate(perm):
-            lo, hi = int(self.rowptr[old_i]), int(self.rowptr[old_i + 1])
-            nlo = int(new_rowptr[new_i])
-            new_col[nlo : nlo + hi - lo] = self.col[lo:hi]
-            new_val[nlo : nlo + hi - lo] = self.val[lo:hi]
-        return CSRMatrix(new_rowptr, new_col, new_val, self.shape, check=False)
+        return self.extract_rows(perm)
 
     def permute_cols(self, perm: np.ndarray) -> "CSRMatrix":
         """Apply a column permutation (same convention as
@@ -299,17 +288,15 @@ class CSRMatrix(SparseFormat):
         (in the given order); the column dimension is unchanged."""
         rows = np.asarray(rows)
         counts = np.diff(self.rowptr)[rows]
-        idx_dtype = self.rowptr.dtype
-        new_rowptr = np.zeros(rows.size + 1, dtype=idx_dtype)
+        new_rowptr = np.zeros(rows.size + 1, dtype=self.rowptr.dtype)
         np.cumsum(counts, out=new_rowptr[1:])
-        new_col = np.empty(int(new_rowptr[-1]), dtype=self.col.dtype)
-        new_val = np.empty(int(new_rowptr[-1]), dtype=self.val.dtype)
-        for k, old_i in enumerate(rows):
-            lo, hi = int(self.rowptr[old_i]), int(self.rowptr[old_i + 1])
-            nlo = int(new_rowptr[k])
-            new_col[nlo : nlo + hi - lo] = self.col[lo:hi]
-            new_val[nlo : nlo + hi - lo] = self.val[lo:hi]
-        return CSRMatrix(new_rowptr, new_col, new_val, (rows.size, self.ncols), check=False)
+        # one gather: entry k of new row i comes from its old row's start
+        # plus its offset k - new_rowptr[i] inside the row
+        shift = self.rowptr[:-1][rows].astype(np.int64) - new_rowptr[:-1]
+        src = np.arange(int(new_rowptr[-1]), dtype=np.int64) + np.repeat(shift, counts)
+        return CSRMatrix(
+            new_rowptr, self.col[src], self.val[src], (rows.size, self.ncols), check=False
+        )
 
     def extract_cols(self, cols: np.ndarray) -> "CSRMatrix":
         """Return a new CSR matrix containing only the given columns

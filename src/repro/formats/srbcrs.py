@@ -28,6 +28,7 @@ from .base import (
     check_dense_operand,
     check_shape,
     index_dtype_for,
+    run_starts,
 )
 
 __all__ = ["SRBCRSMatrix"]
@@ -133,8 +134,9 @@ class SRBCRSMatrix(SparseFormat):
         key = panel * K + cols
         order = np.argsort(key, kind="stable")
         key_sorted = key[order]
-        unique_keys, first_pos = np.unique(key_sorted, return_index=True)
-        owner = np.searchsorted(unique_keys, key_sorted)
+        starts = run_starts(key_sorted)
+        unique_keys = key_sorted[starts]
+        owner = np.cumsum(starts) - 1
 
         u_panel = unique_keys // K
         u_col = unique_keys - u_panel * K

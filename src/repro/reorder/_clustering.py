@@ -23,6 +23,7 @@ from typing import Callable, List
 import numpy as np
 
 from ..formats import CSRMatrix
+from ..formats.base import sort_unique
 
 __all__ = ["RowPatterns", "greedy_cluster_rows"]
 
@@ -73,7 +74,7 @@ class RowPatterns:
         rows = np.repeat(np.arange(csr.nrows, dtype=np.int64), np.diff(csr.rowptr))
         bcols = csr.col.astype(np.int64) // w
         if rows.size:
-            pairs = np.unique(rows * max(1, n_block_cols) + bcols)
+            pairs = sort_unique(rows * max(1, n_block_cols) + bcols)
             u_rows = pairs // max(1, n_block_cols)
             u_bcol = pairs - u_rows * max(1, n_block_cols)
         else:
@@ -160,7 +161,7 @@ def greedy_cluster_rows(
         cand_chunks = [patterns.rows_touching(int(c)) for c in seed_pattern]
         cand_all = np.concatenate(cand_chunks) if cand_chunks else np.empty(0, dtype=np.int64)
         if cand_all.size:
-            cand, inter = np.unique(cand_all, return_counts=True)
+            cand, inter = sort_unique(cand_all, return_counts=True)
             keep = unclustered[cand]
             cand, inter = cand[keep], inter[keep]
         else:

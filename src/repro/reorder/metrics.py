@@ -22,6 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..formats import CSRMatrix
+from ..formats.base import sort_unique
 
 __all__ = [
     "BlockingStats",
@@ -89,7 +90,7 @@ def block_coordinates(
     rows, cols = _apply_perms(csr, row_perm, col_perm)
     n_block_cols = -(-csr.ncols // w) if csr.ncols else 0
     block_ids = (rows // h) * n_block_cols + (cols // w)
-    return np.unique(block_ids)
+    return sort_unique(block_ids)
 
 
 def count_blocks(
@@ -100,6 +101,8 @@ def count_blocks(
     col_perm: Optional[np.ndarray] = None,
 ) -> int:
     """Number of non-zero BCSR blocks of the (permuted) matrix."""
+    if row_perm is None and col_perm is None:
+        return blocking_stats(csr, block_shape).n_blocks
     return int(block_coordinates(csr, block_shape, row_perm=row_perm, col_perm=col_perm).size)
 
 
@@ -127,14 +130,27 @@ def blocking_stats(
     col_perm: Optional[np.ndarray] = None,
 ) -> BlockingStats:
     """Full blocking summary (block count, distribution, padding) of the
-    (permuted) matrix."""
+    (permuted) matrix.
+
+    The unpermuted summary is memoised on ``csr`` per block shape: the
+    tuner's block-count pass and every candidate's "before" stats read the
+    same one.  Like :func:`~repro.formats.csr.matrix_fingerprint`, this
+    treats the matrix arrays as immutable once constructed.
+    """
     h, w = int(block_shape[0]), int(block_shape[1])
+    memo = None
+    if row_perm is None and col_perm is None:
+        memo = getattr(csr, "_blocking_stats", None)
+        if memo is None:
+            memo = csr._blocking_stats = {}
+        if (h, w) in memo:
+            return memo[(h, w)]
     bpr = blocks_per_block_row(csr, block_shape, row_perm=row_perm, col_perm=col_perm)
     n_blocks = int(bpr.sum())
     stored = n_blocks * h * w
     nnz = csr.nnz
     mean = float(bpr.mean()) if bpr.size else 0.0
-    return BlockingStats(
+    stats = BlockingStats(
         n_blocks=n_blocks,
         n_block_rows=int(bpr.size),
         mean_blocks_per_row=mean,
@@ -143,6 +159,9 @@ def blocking_stats(
         padding_zeros=stored - nnz,
         fill_in_ratio=(stored / nnz) if nnz else 0.0,
     )
+    if memo is not None:
+        memo[(h, w)] = stats
+    return stats
 
 
 def block_row_support(csr: CSRMatrix, block_width: int) -> list[np.ndarray]:

@@ -20,6 +20,7 @@ from collections import deque
 import numpy as np
 
 from ..formats import CSRMatrix
+from ..formats.base import sort_unique
 from .base import Reorderer
 
 __all__ = ["RCMReorderer", "rcm_permutation"]
@@ -36,7 +37,7 @@ def _symmetrized_adjacency(csr: CSRMatrix) -> tuple[np.ndarray, np.ndarray]:
     keep = src != dst
     src, dst = src[keep], dst[keep]
     if src.size:
-        pairs = np.unique(src * n + dst)
+        pairs = sort_unique(src * n + dst)
         src = pairs // n
         dst = pairs - src * n
     counts = np.bincount(src, minlength=n)

@@ -38,7 +38,6 @@ from .search import (
     CandidateOutcome,
     Tuner,
     TuningResult,
-    resolve_auto_config,
     tune,
     tuning_key,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "TuningResult",
     "CandidateOutcome",
     "tune",
-    "resolve_auto_config",
     "tuning_key",
     "Candidate",
     "candidate_space",

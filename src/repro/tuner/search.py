@@ -21,7 +21,9 @@ triple:
    operand, no host multiply), and
 4. return a :class:`TuningResult` whose winner is the candidate with the
    lowest simulated multiply time; ties go to the default, then to
-   candidate order.
+   candidate order.  The winner's plan travels with the result
+   (:attr:`TuningResult.plan`), so the caller serves the plan the search
+   already built instead of building it again.
 
 The paper's default configuration is always measured, so the winner is
 *never worse than the default* in the selection metric.  Results persist
@@ -52,7 +54,6 @@ __all__ = [
     "TuningResult",
     "Tuner",
     "tune",
-    "resolve_auto_config",
     "tuning_key",
 ]
 
@@ -123,8 +124,10 @@ class TuningResult:
     outcomes: List[CandidateOutcome] = field(default_factory=list)
     best: Optional[CandidateOutcome] = None
     default: Optional[CandidateOutcome] = None
-    from_cache: bool = False
     search_ms: float = 0.0
+    #: the winner's plan, built and priced by the search; never persisted
+    #: (:meth:`cache_entry` leaves it out)
+    plan: Optional[ExecutionPlan] = field(default=None, repr=False, compare=False)
 
     @property
     def best_config(self) -> SMaTConfig:
@@ -409,16 +412,34 @@ class Tuner:
         # unsupported at build time frees its slot for the next-best one
         viable.sort(key=lambda o: o.estimate.optimistic_s)
         default_outcome = next(o for o in outcomes if o.candidate == default)
+        # selection by simulated device time; exact ties go to the
+        # default, then to candidate order
+        position = {id(o): i for i, o in enumerate(outcomes)}
+
+        def rank(o: CandidateOutcome) -> Tuple:
+            return (o.simulated_ms, o is not default_outcome, position[id(o)])
+
+        best: Optional[CandidateOutcome] = None
+        best_plan: Optional[ExecutionPlan] = None
+
+        def measure(outcome: CandidateOutcome) -> None:
+            """Build and price one candidate; its plan is kept only while
+            it leads the selection."""
+            nonlocal best, best_plan
+            plan = self._measure(A, base, outcome)
+            if plan is not None and (best is None or rank(outcome) < rank(best)):
+                best, best_plan = outcome, plan  # the loser's plan is dropped
+
         measured_count = 0
         if not default_outcome.unsupported:
-            self._measure(A, base, default_outcome)
+            measure(default_outcome)
             measured_count += int(default_outcome.measured)
         for outcome in viable:
             if outcome is default_outcome:
                 continue
             if measured_count >= self.max_measure:
                 break
-            self._measure(A, base, outcome)
+            measure(outcome)
             measured_count += int(outcome.measured)
 
         if measured_count < self.max_measure and any(o.unsupported for o in viable):
@@ -432,11 +453,10 @@ class Tuner:
             ):
                 if measured_count >= self.max_measure:
                     break
-                self._measure(A, base, outcome)
+                measure(outcome)
                 measured_count += int(outcome.measured)
 
-        measured = [o for o in outcomes if o.measured]
-        if not measured:
+        if best is None:
             # every candidate's backend refused the matrix (possible only
             # when the menu was pinned to unsupported backends); surface
             # it as the kernel error so the engine's fallback engages
@@ -446,9 +466,6 @@ class Tuner:
             raise KernelUnsupportedError(
                 f"no tuning candidate could run on this matrix ({errors})"
             )
-        # select by simulated device time; exact ties go to the default,
-        # then to candidate order (min keeps the first of equal keys)
-        best = min(measured, key=lambda o: (o.simulated_ms, o is not default_outcome))
         result = TuningResult(
             fingerprint=matrix_fingerprint(A),
             base_config=base,
@@ -457,6 +474,7 @@ class Tuner:
             best=best,
             default=default_outcome,
             search_ms=1e3 * (time.perf_counter() - start),
+            plan=best_plan,
         )
         if store and self.cache is not None:
             self.cache.put(tuning_key(A, base, self.n_cols, space), result.cache_entry())
@@ -467,7 +485,9 @@ class Tuner:
         A: CSRMatrix,
         base: SMaTConfig,
         outcome: CandidateOutcome,
-    ) -> None:
+    ) -> Optional[ExecutionPlan]:
+        """Build and price one candidate's plan; ``None`` when its backend
+        refuses the matrix."""
         cfg = outcome.candidate.expand(base)
         start = time.perf_counter()
         try:
@@ -478,24 +498,38 @@ class Tuner:
             outcome.unsupported = True
             outcome.error = str(exc)
             outcome.pruned = False
-            return
+            return None
         outcome.preprocess_ms = 1e3 * (time.perf_counter() - start)
         outcome.simulated_ms = plan.price(self.n_cols).simulated_ms
         outcome.blocks_after = plan.report.blocks_after
         outcome.applied = plan.report.applied
         outcome.measured = True
         outcome.pruned = False
+        return plan
 
     # -- cached entry point ---------------------------------------------------
     def resolve(self, A: CSRMatrix, config: Optional[SMaTConfig] = None) -> SMaTConfig:
         """Return the tuned configuration for ``A``, searching at most once.
 
-        On a cache hit the stored winner is rebuilt without any search;
+        On a cache hit the stored winner is returned without any search;
         on a miss the search runs and its winner is persisted.
         """
+        return self.resolve_with_plan(A, config)[0]
+
+    def resolve_with_plan(
+        self, A: CSRMatrix, config: Optional[SMaTConfig] = None
+    ) -> Tuple[SMaTConfig, Optional[ExecutionPlan]]:
+        """:meth:`resolve`, plus the winner's plan when a search ran.
+
+        A search has already built and priced the winner's plan, so it is
+        returned for the caller to serve; on a cache hit the plan is
+        ``None`` and the caller builds it once from the stored winner.
+        """
         base = (config or SMaTConfig()).validate()
+        key = None
         if self.cache is not None:
-            entry = self.cache.get(self.key_for(A, base))
+            key = self.key_for(A, base)
+            entry = self.cache.get(key)
             if entry is not None:
                 with self.tracer.span("tuner.resolve", cache_hit=True):
                     cand = Candidate(
@@ -508,23 +542,14 @@ class Tuner:
                         reorder_params=dict(entry.get("reorder_params", {})),
                         kernel=str(entry.get("kernel", "smat")),
                     )
-                    return cand.expand(base)
+                    return cand.expand(base), None
         with self.tracer.span("tuner.resolve", cache_hit=False):
-            return self.tune(A, base, store=True).best_config
+            result = self.tune(A, base)
+            if key is not None:
+                self.cache.put(key, result.cache_entry())
+            return result.best_config, result.plan
 
 
 def tune(A: CSRMatrix, config: Optional[SMaTConfig] = None, **tuner_kwargs) -> TuningResult:
     """Convenience wrapper: run one tuning search with default settings."""
     return Tuner(cache=False, **tuner_kwargs).tune(A, config)
-
-
-def resolve_auto_config(
-    A: CSRMatrix, config: SMaTConfig, *, cache=None
-) -> SMaTConfig:
-    """Resolve ``SMaTConfig(reorder="auto")`` to a concrete tuned
-    configuration (used by :meth:`repro.core.plan.ExecutionPlan.build`).
-
-    The persistent tuning cache makes this cheap after the first sight of
-    a matrix; the search itself runs with the default small budget.
-    """
-    return Tuner(cache=cache).resolve(A, config)

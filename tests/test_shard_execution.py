@@ -90,7 +90,7 @@ class TestFacade:
         import threading
 
         class BoomTuner:
-            def resolve(self, A, cfg):
+            def resolve_with_plan(self, A, cfg):
                 raise RuntimeError("boom")
 
         before = {t.name for t in threading.enumerate()}

@@ -136,6 +136,25 @@ class TestTuningCache:
         cache.put("k", {"x": 1})  # and it recovers by rewriting
         assert cache.get("k") == {"x": 1}
 
+    def test_indented_file_still_loads(self, tmp_path):
+        """Files written with ``indent=2`` (the earlier layout) load, and
+        the next store rewrites them compactly with every entry kept."""
+        path = tmp_path / "t.json"
+        payload = {"version": 1, "entries": {"old": {"reorder": "rcm", "block_shape": [8, 8]}}}
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        cache = TuningCache(path)
+        assert cache.get("old") == {"reorder": "rcm", "block_shape": [8, 8]}
+        cache.put("new", {"reorder": "jaccard"})
+        text = path.read_text()
+        assert "\n" not in text
+        assert json.loads(text) == {
+            "version": 1,
+            "entries": {
+                "new": {"reorder": "jaccard"},
+                "old": {"reorder": "rcm", "block_shape": [8, 8]},
+            },
+        }
+
     def test_clear_and_stats(self, tmp_path):
         cache = TuningCache(tmp_path / "t.json")
         cache.put("k", {})
