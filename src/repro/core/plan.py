@@ -74,11 +74,6 @@ class PreprocessReport:
         """Block-count reduction factor achieved by the permutation."""
         return self.blocks_before / self.blocks_after if self.blocks_after else 1.0
 
-    @property
-    def std_reduction(self) -> float:
-        """Reduction of the blocks-per-row standard deviation (load balance)."""
-        return self.std_before / self.std_after if self.std_after else 1.0
-
 
 @dataclass
 class MultiplyReport:
@@ -151,14 +146,12 @@ def plan_key(A: CSRMatrix, config: SMaTConfig) -> Tuple[str, Tuple]:
 class ExecutionPlan:
     """Prepared state for executing ``C = A @ B`` many times.
 
-    Holds the row (and optional column) permutation, the permuted matrix,
-    the preprocessing report, and a prepared kernel instance of the
-    configured backend (``config.kernel``): the paper's BCSR Tensor-Core
-    kernel by default, or any registered baseline library -- every
-    backend's internal format conversion happens at build time, so
-    repeated executions amortise it identically.  Create plans with
-    :meth:`build`; instances are immutable and thread-safe to
-    :meth:`execute`.
+    Holds ``A``, the row (and optional column) permutation, the
+    preprocessing report, and a kernel of the configured backend
+    (``config.kernel``) prepared with the structure summary its cost model
+    reads (SMaT's blocks per block row under the permutation), not a
+    permuted copy of ``A`` or a layout.  Create plans with :meth:`build`;
+    instances are immutable and thread-safe to :meth:`execute`.
     """
 
     def __init__(
@@ -168,7 +161,6 @@ class ExecutionPlan:
         *,
         row_perm: np.ndarray,
         col_perm: Optional[np.ndarray],
-        permuted: CSRMatrix,
         kernel: SpMMKernel,
         report: PreprocessReport,
         reorder_result: Optional[ReorderResult] = None,
@@ -177,24 +169,24 @@ class ExecutionPlan:
         self.config = config
         self.row_perm = row_perm
         self.col_perm = col_perm
-        self.permuted = permuted
         self.kernel = kernel
         self.report = report
         self.reorder_result = reorder_result
+        self._bcsr: Optional[BCSRMatrix] = None
 
     @classmethod
     def build(cls, A: CSRMatrix, config: Optional[SMaTConfig] = None) -> "ExecutionPlan":
         """Run the full preprocessing pipeline (Section IV-C) for ``A``.
 
         Dispatches on ``config.kernel``: for blocked backends (SMaT) it
-        computes the block-minimising permutation, applies it (unless
+        computes the block-minimising permutation, keeps it (unless
         ``auto_skip_reordering`` decides the input ordering is already at
-        least as good), and prepares the BCSR Tensor-Core kernel; for
-        non-blocked backends (cuSPARSE, DASP, Magicube, cuBLAS) the
-        BCSR-specific reordering pass is skipped entirely -- the library
-        consumes ``A`` as-is, exactly the paper's comparison protocol --
-        and only the backend's own format conversion runs.  ``"auto"``
-        (for the kernel or the reordering) first resolves the
+        least as good), and prepares the BCSR Tensor-Core kernel on the
+        block counts under it; for non-blocked backends (cuSPARSE, DASP,
+        Magicube, cuBLAS) the BCSR-specific reordering pass is skipped
+        entirely -- the library consumes ``A`` as-is, exactly the paper's
+        comparison protocol -- and only the backend's own preprocessing
+        runs.  ``"auto"`` (for the kernel or the reordering) first resolves the
         configuration through the per-matrix auto-tuner; when that runs a
         search, the plan the search built for its winner is returned
         as-is.
@@ -250,17 +242,6 @@ class ExecutionPlan:
             # matrices); keep the identity, as the paper's pipeline does
             applied = False
 
-        if applied:
-            row_perm = result.row_perm
-            col_perm = result.col_perm
-            permuted = A.permute_rows(result.row_perm)
-            if result.col_perm is not None:
-                permuted = permuted.permute_cols(result.col_perm)
-        else:
-            row_perm = identity_permutation(A.nrows)
-            col_perm = None
-            permuted = A
-
         kernel = get_kernel(
             backend,
             config.arch,
@@ -268,7 +249,12 @@ class ExecutionPlan:
             variant=config.variant,
             block_shape=block_shape,
         )
-        kernel.prepare(permuted)
+        if applied:
+            row_perm, col_perm = result.row_perm, result.col_perm
+            kernel.prepare(A, row_perm=row_perm, col_perm=col_perm)
+        else:
+            row_perm, col_perm = identity_permutation(A.nrows), None
+            kernel.prepare(A)
 
         stats_before = result.stats_before
         stats_after = result.stats_after if applied else result.stats_before
@@ -288,7 +274,6 @@ class ExecutionPlan:
             config,
             row_perm=row_perm,
             col_perm=col_perm,
-            permuted=permuted,
             kernel=kernel,
             report=report,
             reorder_result=result,
@@ -299,8 +284,8 @@ class ExecutionPlan:
         cls, A: CSRMatrix, config: SMaTConfig, backend: str, block_shape: Tuple[int, int]
     ) -> "ExecutionPlan":
         """Baseline-library pipeline: no reordering, only the backend's
-        own format conversion (cuSPARSE keeps CSR, Magicube builds
-        SR-BCRS, cuBLAS checks its dense memory gate, ...)."""
+        own preprocessing (cuSPARSE keeps CSR, Magicube counts its SR-BCRS
+        vectors, cuBLAS checks its dense memory gate, ...)."""
         kernel = get_kernel(backend, config.arch, config.precision)
         kernel.prepare(A)
         report = PreprocessReport(
@@ -319,7 +304,6 @@ class ExecutionPlan:
             config,
             row_perm=identity_permutation(A.nrows),
             col_perm=None,
-            permuted=A,
             kernel=kernel,
             report=report,
             reorder_result=None,
@@ -333,15 +317,18 @@ class ExecutionPlan:
 
     @property
     def bcsr(self) -> BCSRMatrix:
-        """The internal BCSR representation of the (permuted) matrix
-        (blocked backends only)."""
-        bcsr = getattr(self.kernel, "bcsr", None)
-        if bcsr is None:
+        """The BCSR layout of ``A`` under the plan's permutation(s)
+        (blocked backends only), built on first access; execution never
+        reads it."""
+        if not self.kernel.wants_reordering:
             raise AttributeError(
                 f"plan built for backend {self.report.backend!r} has no BCSR "
                 "representation (only blocked kernels convert to BCSR)"
             )
-        return bcsr
+        if self._bcsr is None:
+            permuted = self.reorder_result.apply(self.A) if self.report.applied else self.A
+            self._bcsr = BCSRMatrix.from_csr(permuted, self.kernel.block_shape)
+        return self._bcsr
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -351,7 +338,7 @@ class ExecutionPlan:
     def price(self, n_cols: int) -> MultiplyReport:
         """The :class:`MultiplyReport` of one multiply against an
         ``n_cols``-wide ``B``: the kernel's simulated device price of this
-        plan's layout, without computing ``C``."""
+        plan's block structure, without computing ``C``."""
         result = self.kernel.price(n_cols)
         return MultiplyReport(
             gflops=result.gflops,
@@ -369,7 +356,7 @@ class ExecutionPlan:
 
         ``C`` is one scipy CSR product of ``A`` in its original order (the
         operator cached on ``A``, shared by every plan of the matrix); the
-        report prices the plan's layout on the simulated device (see
+        report prices the plan's block structure on the simulated device (see
         :meth:`price`).  ``B`` may be a ``(K, N)`` dense matrix or a
         length-``K`` vector (SpMV); a vector input yields a vector output.
         """

@@ -101,7 +101,8 @@ class SMaT:
 
     @property
     def bcsr(self) -> BCSRMatrix:
-        """The internal BCSR representation of the (permuted) matrix."""
+        """The BCSR layout of the permuted matrix, built on first access
+        (see :attr:`ExecutionPlan.bcsr`)."""
         return self.plan.bcsr
 
     @property

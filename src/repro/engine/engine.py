@@ -6,8 +6,8 @@ the engine
 
 1. **caches plans** -- input matrices are fingerprinted
    (:func:`~repro.core.plan.matrix_fingerprint`) and their prepared
-   :class:`~repro.core.plan.ExecutionPlan` (permutation + BCSR + kernel
-   instance) is kept in a bounded LRU, so repeated queries against the
+   :class:`~repro.core.plan.ExecutionPlan` (permutation + block counts +
+   kernel instance) is kept in a bounded LRU, so repeated queries against the
    same matrix skip preprocessing entirely;
 2. **batches work** -- many ``B`` operands per matrix and many matrices
    per call, executed through a thread pool over independent plan runs,

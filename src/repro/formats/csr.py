@@ -183,12 +183,6 @@ class CSRMatrix(SparseFormat):
 
         return CSCMatrix.from_coo(self.to_coo())
 
-    def to_bcsr(self, block_shape: Tuple[int, int]):
-        """Convert to :class:`repro.formats.bcsr.BCSRMatrix`."""
-        from .bcsr import BCSRMatrix
-
-        return BCSRMatrix.from_csr(self, block_shape)
-
     def scipy_operator(self):
         """The ``scipy.sparse.csr_matrix`` that :meth:`spmm` multiplies by.
 

@@ -3,16 +3,14 @@
 Every kernel in this package mirrors one of the libraries evaluated in the
 paper (SMaT, cuSPARSE, DASP, Magicube, cuBLAS).  A kernel
 
-1. is *prepared* once for a sparse matrix ``A`` -- format conversion and
-   any library-internal preprocessing happen here, mirroring the paper's
-   separation between preprocessing and execution (Figure 1), and
-2. is *run* against a dense matrix ``B``, producing the numerical result
-   ``C = A @ B`` (the prepared format's own host ``spmm``) together with
-   a simulated A100 execution time (computed by :mod:`repro.gpu`).
-
-The numerical result is exact (reference semantics); the timing is the
-model's estimate of what the corresponding CUDA kernel would achieve;
-:meth:`SpMMKernel.price` gives the timing alone.
+1. is *prepared* once for a sparse matrix ``A`` -- the library's
+   preprocessing, mirroring the paper's separation between preprocessing
+   and execution (Figure 1); it keeps only the structure its cost model
+   reads (e.g. SMaT's blocks per block row), never a layout's values, and
+2. is *priced* against an ``N``-wide ``B`` (:meth:`SpMMKernel.price`): a
+   simulated A100 execution time computed by :mod:`repro.gpu`.
+   :meth:`SpMMKernel.run` adds ``C = A @ B``, the prepared matrix's own
+   CSR product, which is what every plan serves.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..formats import CSRMatrix
-from ..formats.base import SparseFormat, check_dense_operand
+from ..formats.base import check_dense_operand
 from ..formats.csr import matrix_fingerprint
 from ..gpu import (
     A100_SXM4_40GB,
@@ -109,8 +107,6 @@ class SpMMKernel(abc.ABC):
         self.precision: Precision = get_precision(precision)
         self.cost_model = CostModel(arch, self.precision)
         self._prepared_for: Optional[CSRMatrix] = None
-        #: the prepared format whose ``spmm`` :meth:`run` returns
-        self._host: Optional[SparseFormat] = None
         #: n_cols -> (counters, efficiency): plain data, no closures
         self._prices: Dict[int, Tuple[KernelCounters, KernelEfficiency]] = {}
         self._prices_lock = threading.Lock()
@@ -118,7 +114,7 @@ class SpMMKernel(abc.ABC):
     # -- preparation -----------------------------------------------------------
     @abc.abstractmethod
     def prepare(self, A: CSRMatrix) -> None:
-        """Convert ``A`` into the kernel's internal format.
+        """Summarise ``A`` in the structure the kernel's cost model reads.
 
         May raise :class:`KernelUnsupportedError` if the kernel cannot
         handle the matrix (e.g. it does not fit in device memory).
@@ -127,9 +123,8 @@ class SpMMKernel(abc.ABC):
     def is_prepared(self) -> bool:
         return self._prepared_for is not None
 
-    def _mark_prepared(self, A: CSRMatrix, host: Optional[SparseFormat] = None) -> None:
+    def _mark_prepared(self, A: CSRMatrix) -> None:
         self._prepared_for = A
-        self._host = A if host is None else host
         self._prices = {}
 
     def _require_prepared(self) -> CSRMatrix:
@@ -186,15 +181,16 @@ class SpMMKernel(abc.ABC):
 
     # -- execution ----------------------------------------------------------------
     def run(self, B: np.ndarray) -> KernelResult:
-        """Execute ``C = A @ B`` on the prepared format and return the
-        numerical result with the simulated price (see :meth:`price`).
+        """``C = A @ B`` -- the prepared matrix's own CSR product, in its
+        own order, as plans serve it -- with the simulated price (see
+        :meth:`price`).
 
         Every kernel class binds this function as its own ``run``, so a
         wrapper installed on one class (a profiler, the layer-timing
         benchmark) sees exactly that class's runs."""
         B = self._validate_B(B)
         result = self.price(B.shape[1])
-        result.C = self._host.spmm(B)
+        result.C = self._prepared_for.spmm(B)
         return result
 
     def multiply(self, A: CSRMatrix, B: np.ndarray) -> KernelResult:
@@ -202,8 +198,8 @@ class SpMMKernel(abc.ABC):
 
         Re-preparation is keyed on the matrix *content fingerprint*, not
         object identity: an equal matrix loaded twice (two objects, same
-        bytes) reuses the prepared state instead of paying the format
-        conversion again.
+        bytes) reuses the prepared state instead of paying the
+        preprocessing again.
         """
         if self._prepared_for is None or (
             self._prepared_for is not A

@@ -21,12 +21,12 @@ Characteristics the model reproduces:
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from ..formats import CSRMatrix, SRBCRSMatrix
+from ..formats import CSRMatrix
+from ..formats.base import index_dtype_for
 from ..gpu import AccessPattern, KernelCounters, KernelEfficiency
+from ..reorder.metrics import blocks_per_block_row
 from .base import KernelUnsupportedError, SpMMKernel
 
 __all__ = ["MagicubeKernel"]
@@ -70,49 +70,55 @@ class MagicubeKernel(SpMMKernel):
         super().__init__(arch, precision)
         self.vector_length = int(vector_length)
         self.stride = int(stride)
-        self.srbcrs: Optional[SRBCRSMatrix] = None
 
     # -- preparation -----------------------------------------------------------------
     def prepare(self, A: CSRMatrix) -> None:
-        """Convert to SR-BCRS and check the device-memory footprint."""
-        srbcrs = SRBCRSMatrix.from_csr(
-            A, vector_length=self.vector_length, stride=self.stride
-        )
-        footprint = srbcrs.memory_footprint_bytes() * MEMORY_FOOTPRINT_FACTOR
+        """Count each row panel's SR-BCRS vectors -- non-zero ``(v, 1)``
+        blocks, padded up to a multiple of the stride -- and check the
+        device-memory footprint of that layout, without building it."""
+        v, s = self.vector_length, self.stride
+        counts = blocks_per_block_row(A, (v, 1))
+        vectors_per_panel = -(-counts // s) * s  # empty panels stay empty
+        n_vectors = int(vectors_per_panel.sum())
+        # SRBCRSMatrix.memory_footprint_bytes: panel_ptr, int64 vec_col, vectors
+        idx_bytes = index_dtype_for(A.nrows, A.ncols, n_vectors).itemsize
+        self.layout_bytes = (counts.size + 1) * idx_bytes + n_vectors * (8 + v * A.dtype.itemsize)
+        footprint = self.layout_bytes * MEMORY_FOOTPRINT_FACTOR
         if not self.cost_model.memory.fits_in_device_memory(footprint):
             raise KernelUnsupportedError(
                 f"Magicube preprocessing needs ~{footprint / 2**30:.1f} GiB, which "
                 f"exceeds the {self.arch.hbm_capacity_gib:.0f} GiB of {self.arch.name}"
             )
-        self.srbcrs = srbcrs
-        self._mark_prepared(A, srbcrs)
+        self.vectors_per_panel = vectors_per_panel
+        self.n_vectors = n_vectors
+        self.n_padding_vectors = n_vectors - int(counts.sum())
+        self._mark_prepared(A)
 
     # -- model -------------------------------------------------------------------------------
     def _warp_work_cycles(self, n_cols: int) -> np.ndarray:
-        assert self.srbcrs is not None
         mma_n = self.precision.mma_shape.n
         n_tiles = -(-max(1, n_cols) // mma_n)
-        vectors_per_panel = self.srbcrs.vectors_per_panel().astype(np.float64)
+        vectors_per_panel = self.vectors_per_panel.astype(np.float64)
         per_panel = PANEL_OVERHEAD_CYCLES + vectors_per_panel * CYCLES_PER_VECTOR_PER_TILE
         # one warp per (panel, output tile)
         return np.repeat(per_panel, n_tiles)
 
     def _counters(self, n_cols: int) -> KernelCounters:
-        assert self.srbcrs is not None
+        A = self._prepared_for
         v = self.vector_length
         item = 2  # int16
-        n_vec = self.srbcrs.n_vectors
+        n_vec = self.n_vectors
         mma_n = self.precision.mma_shape.n
         # roughly one MMA per (mma_k / 1)-vector group per output tile
         mma_per_tile = n_vec / max(1, self.precision.mma_shape.k // 1) * 1.0
         n_tiles = -(-max(1, n_cols) // mma_n)
         mma_instructions = mma_per_tile * n_tiles
 
-        bytes_A = n_vec * (v * item + 4) + (self.srbcrs.n_panels + 1) * 4
+        bytes_A = n_vec * (v * item + 4) + (self.vectors_per_panel.size + 1) * 4
         bytes_B = float(n_vec) * n_cols * item
-        bytes_C = float(self.srbcrs.nrows) * n_cols * item
+        bytes_C = float(A.nrows) * n_cols * item
         return KernelCounters(
-            useful_flops=self.useful_flops(self.srbcrs.nnz, n_cols),
+            useful_flops=self.useful_flops(A.nnz, n_cols),
             mma_instructions=mma_instructions,
             mma_flops=mma_instructions * self.precision.mma_shape.flops,
             bytes_global_read=bytes_A + bytes_B,
@@ -121,7 +127,7 @@ class MagicubeKernel(SpMMKernel):
             warp_work_cycles=self._warp_work_cycles(n_cols),
             extra={
                 "n_vectors": float(n_vec),
-                "n_padding_vectors": float(self.srbcrs.n_padding_vectors),
+                "n_padding_vectors": float(self.n_padding_vectors),
             },
         )
 
@@ -138,7 +144,7 @@ class MagicubeKernel(SpMMKernel):
             "format": self.input_format,
             "vector_length": self.vector_length,
             "stride": self.stride,
-            "n_vectors": self.srbcrs.n_vectors,
+            "n_vectors": self.n_vectors,
         }
 
     run = SpMMKernel.run  # on the class itself: see SpMMKernel.run

@@ -38,6 +38,7 @@ import numpy as np
 from ..formats import BCSRMatrix, CSRMatrix
 from ..gpu import AccessPattern, KernelCounters, KernelEfficiency
 from ..gpu.tensorcore import LDMATRIX_X2_CYCLES, LDMATRIX_X4_CYCLES
+from ..reorder.metrics import blocks_per_block_row, count_blocks
 from .base import SpMMKernel
 
 __all__ = ["SMaTVariant", "SMaTKernel"]
@@ -137,23 +138,42 @@ class SMaTKernel(SpMMKernel):
             variant if isinstance(variant, SMaTVariant) else SMaTVariant.from_string(variant)
         )
         self.block_shape = tuple(block_shape) if block_shape else self.precision.block_shape
-        self.bcsr: Optional[BCSRMatrix] = None
+        self._bcsr: Optional[BCSRMatrix] = None
+        self._permuted = False
 
     # -- preparation ------------------------------------------------------------
-    def prepare(self, A: CSRMatrix) -> None:
-        """Convert ``A`` (already permuted by the preprocessing stage) to
-        BCSR with the kernel's block shape."""
-        self.bcsr = BCSRMatrix.from_csr(A, self.block_shape)
-        self._mark_prepared(A, self.bcsr)
+    def prepare(self, A: CSRMatrix, *, row_perm=None, col_perm=None) -> None:
+        """Count the non-zero blocks per block row of ``A`` under the
+        optional permutations, at the kernel's block shape, and derive the
+        scalars the cost model reads.  Keeps no layout and no permutation."""
+        h, w = self.block_shape
+        bpr = blocks_per_block_row(A, self.block_shape, row_perm=row_perm, col_perm=col_perm)
+        self.blocks_per_row = bpr
+        self.n_blocks = int(bpr.sum())
+        self.n_block_rows = bpr.size
+        self.n_block_cols = -(-A.ncols // w)
+        self.nnz, self.nrows = A.nnz, A.nrows
+        stored = self.n_blocks * h * w
+        self.padding_zeros = stored - self.nnz
+        self.fill_in_ratio = stored / self.nnz if self.nnz else 0.0
+        self._bcsr = None
+        self._permuted = row_perm is not None or col_perm is not None
+        self._mark_prepared(A)
+
+    @property
+    def bcsr(self) -> Optional[BCSRMatrix]:
+        """The BCSR layout of the prepared matrix, built on first access
+        (``None`` before :meth:`prepare`).  A plan's permuted layout is
+        :attr:`repro.core.plan.ExecutionPlan.bcsr`."""
+        if self._permuted:
+            raise RuntimeError("a kernel prepared under a permutation keeps no layout")
+        if self._bcsr is None and self._prepared_for is not None:
+            self._bcsr = BCSRMatrix.from_csr(self._prepared_for, self.block_shape)
+        return self._bcsr
 
     def tuning_work(self, A: CSRMatrix) -> float:
         """SMaT's Eq. 1 work measure: the non-zero BCSR block count at the
-        kernel's block shape (the prepared BCSR when available, otherwise
-        a cheap O(nnz) counting pass)."""
-        if self.bcsr is not None and self._prepared_for is A:
-            return float(self.bcsr.n_blocks)
-        from ..reorder.metrics import count_blocks
-
+        kernel's block shape (a memoised O(nnz) counting pass)."""
         return float(count_blocks(A, self.block_shape))
 
     # -- per-block cycle model ------------------------------------------------------
@@ -191,19 +211,18 @@ class SMaTKernel(SpMMKernel):
     def _warp_work_cycles(self, n_cols: int) -> np.ndarray:
         """Per-warp cycle counts of the static 2-D grid (one warp per
         ``h x mma_n`` output tile), in launch order."""
-        assert self.bcsr is not None
         mma_n = self.precision.mma_shape.n
         n_tiles = -(-max(1, n_cols) // mma_n)
         last_tile_cols = max(1, n_cols) - (n_tiles - 1) * mma_n
 
-        blocks_per_row = self.bcsr.blocks_per_row().astype(np.float64)
-        warp_cycles = np.empty(self.bcsr.n_block_rows * n_tiles, dtype=np.float64)
+        blocks_per_row = self.blocks_per_row.astype(np.float64)
+        warp_cycles = np.empty(self.n_block_rows * n_tiles, dtype=np.float64)
         for tile in range(n_tiles):
             cols = mma_n if tile < n_tiles - 1 else last_tile_cols
             per_block = self._per_block_cycles(cols)
             cycles = WARP_PROLOGUE_CYCLES + blocks_per_row * per_block
             if not self.variant.use_bcsr_pointers:
-                cycles = cycles + self.bcsr.n_block_cols * EMPTY_BLOCK_CHECK_CYCLES
+                cycles = cycles + self.n_block_cols * EMPTY_BLOCK_CHECK_CYCLES
             # warps of tile `t` interleave with other tiles in launch order
             # (grid x = block row, grid y = tile)
             warp_cycles[tile::n_tiles] = cycles
@@ -211,10 +230,9 @@ class SMaTKernel(SpMMKernel):
 
     # -- counters ----------------------------------------------------------------------
     def _counters(self, n_cols: int) -> KernelCounters:
-        assert self.bcsr is not None
         h, w = self.block_shape
         item = self.precision.itemsize
-        n_blocks = self.bcsr.n_blocks
+        n_blocks = self.n_blocks
         mma_n = self.precision.mma_shape.n
         n_tiles = -(-max(1, n_cols) // mma_n)
 
@@ -223,13 +241,13 @@ class SMaTKernel(SpMMKernel):
         mma_flops = mma_instructions * self.precision.mma_shape.flops
         cuda_flops = 0.0 if self.variant.use_tensor_cores else 2.0 * n_blocks * h * w * n_cols
 
-        bytes_A = n_blocks * (h * w * item + 4) + (self.bcsr.n_block_rows + 1) * 4
+        bytes_A = n_blocks * (h * w * item + 4) + (self.n_block_rows + 1) * 4
         bytes_B = float(n_blocks) * w * n_cols * item
-        bytes_C = float(self.bcsr.nrows) * n_cols * item
+        bytes_C = float(self.nrows) * n_cols * item
         bytes_shared = float(n_blocks) * (h * w + w * mma_n) * item * n_tiles
 
         return KernelCounters(
-            useful_flops=self.useful_flops(self.bcsr.nnz, n_cols),
+            useful_flops=self.useful_flops(self.nnz, n_cols),
             mma_instructions=mma_instructions,
             mma_flops=mma_flops,
             cuda_core_flops=cuda_flops,
@@ -240,8 +258,8 @@ class SMaTKernel(SpMMKernel):
             warp_work_cycles=self._warp_work_cycles(n_cols),
             extra={
                 "n_blocks": float(n_blocks),
-                "padding_zeros": float(self.bcsr.padding_zeros),
-                "n_warps": float(self.bcsr.n_block_rows * n_tiles),
+                "padding_zeros": float(self.padding_zeros),
+                "n_warps": float(self.n_block_rows * n_tiles),
             },
         )
 
@@ -268,9 +286,9 @@ class SMaTKernel(SpMMKernel):
     def _meta(self, counters, timing):
         return {
             "variant": self.variant.label,
-            "n_blocks": self.bcsr.n_blocks,
+            "n_blocks": self.n_blocks,
             "block_shape": self.block_shape,
-            "fill_in_ratio": self.bcsr.fill_in_ratio,
+            "fill_in_ratio": self.fill_in_ratio,
         }
 
     run = SpMMKernel.run  # on the class itself: see SpMMKernel.run

@@ -69,17 +69,6 @@ class ReorderResult:
             return 1.0
         return self.stats_before.n_blocks / self.stats_after.n_blocks
 
-    @property
-    def std_reduction(self) -> float:
-        """Reduction factor of the blocks-per-row standard deviation."""
-        if (
-            not self.stats_before
-            or not self.stats_after
-            or not self.stats_after.std_blocks_per_row
-        ):
-            return 1.0
-        return self.stats_before.std_blocks_per_row / self.stats_after.std_blocks_per_row
-
     def apply(self, csr: CSRMatrix) -> CSRMatrix:
         """Apply the stored permutations to a CSR matrix."""
         out = csr.permute_rows(self.row_perm)

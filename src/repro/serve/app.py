@@ -511,10 +511,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     All domain work happens on the :class:`SpMMServer` methods; this
     class only translates HTTP to/from them and accounts metrics/logs.
-    Connections are persistent (HTTP/1.1 keep-alive).
+    Connections are persistent (HTTP/1.1 keep-alive) until idle for
+    :attr:`timeout` seconds; the client reopens a dropped one.
     """
 
     protocol_version = "HTTP/1.1"
+    #: socket timeout in seconds: an idle kept-alive connection is closed
+    #: after it, so that it does not hold its handler thread forever
+    timeout = 30.0
     # headers and body are separate writes: without TCP_NODELAY, Nagle's
     # algorithm holds the body back for the client's delayed ACK
     disable_nagle_algorithm = True

@@ -1,14 +1,18 @@
 """The memoised device price of a plan equals a fresh kernel's, bit for bit.
 
-A plan serves ``C`` from ``A``'s CSR and prices its layout through
+A plan serves ``C`` from ``A``'s CSR and prices its block structure through
 :meth:`repro.kernels.SpMMKernel.price`, which keeps the counters and the
-efficiency of each ``B`` width.  These tests pin that the memo changes
-nothing: every counter field, ``simulated_ms``, ``bound`` and
+efficiency of each ``B`` width.  The fresh kernel is prepared on ``A``
+with the plan's row (and column) permutation materialised, so these tests
+also pin that pricing a blocked plan from block counts under the
+permutation equals pricing the permuted matrix itself.  They pin that the
+memo changes nothing: every counter field, ``simulated_ms``, ``bound`` and
 ``kernel_meta`` equal those of a newly prepared kernel that never priced
-before, on the first call and on repeats, past the memo's capacity, and
-from concurrent callers.  The memo holds plain data only, so a closed
-plan is freed by reference counting alone.  The layout a blocked plan
-prices is ``A`` under the plan's own row (and column) permutation.
+before, on the first call and on repeats, past the memo's capacity, from
+concurrent callers, and on edge-case matrices.  The memo holds plain data
+only, so a closed plan is freed by reference counting alone.  The layout a
+blocked plan prices is ``A`` under the plan's own row (and column)
+permutation.
 """
 
 import gc
@@ -22,8 +26,15 @@ import pytest
 
 from repro import SMaTConfig
 from repro.core.plan import ExecutionPlan
-from repro.gpu import KernelCounters, KernelEfficiency
-from repro.kernels import KERNEL_REGISTRY, PRICE_MEMO_SIZE, get_kernel
+from repro.formats import CSRMatrix, SRBCRSMatrix
+from repro.gpu import A100_SXM4_40GB, KernelCounters, KernelEfficiency
+from repro.kernels import (
+    KERNEL_REGISTRY,
+    PRICE_MEMO_SIZE,
+    KernelUnsupportedError,
+    get_kernel,
+    magicube,
+)
 from repro.matrices import hidden_cluster_matrix, uniform_random
 
 BACKENDS = ("smat", "cusparse", "dasp", "magicube", "cublas")
@@ -33,6 +44,7 @@ BLOCKED = tuple(name for name, cls in KERNEL_REGISTRY.items() if cls.wants_reord
 LAYOUTS = {
     "identity": ("identity", False),
     "jaccard": ("jaccard", False),
+    "rcm": ("rcm", False),
     "jaccard+columns": ("jaccard", True),
 }
 
@@ -42,14 +54,23 @@ def A():
     return uniform_random(160, 144, density=0.04, rng=np.random.default_rng(11))
 
 
+def _permuted(plan: ExecutionPlan) -> CSRMatrix:
+    """``A`` with the plan's row, then column, permutation applied."""
+    permuted = plan.A.permute_rows(plan.row_perm)
+    if plan.col_perm is not None:
+        permuted = permuted.permute_cols(plan.col_perm)
+    return permuted
+
+
 def _fresh_price(plan: ExecutionPlan, n_cols: int):
-    """Counters and timing of a newly prepared kernel, priced without a memo."""
+    """Counters and timing of a kernel newly prepared on the materialised
+    permuted matrix, priced without a memo."""
     cfg = plan.config
     kwargs = {}
     if plan.backend == "smat":
         kwargs = {"variant": cfg.variant, "block_shape": cfg.resolved_block_shape()}
     kernel = get_kernel(plan.backend, cfg.arch, cfg.precision, **kwargs)
-    kernel.prepare(plan.permuted)
+    kernel.prepare(_permuted(plan))
     counters = kernel._counters(n_cols)
     timing = kernel.cost_model.simulate(
         counters,
@@ -85,6 +106,64 @@ def test_report_equals_fresh_kernel(A, backend):
             memoised = plan.kernel.price(n).counters
             _assert_counters_equal(memoised, counters)
             assert plan.kernel.price(n).counters is memoised  # computed once
+
+
+def _edge_matrix(name: str) -> CSRMatrix:
+    rng = np.random.default_rng(3)
+    if name == "nnz0":
+        return CSRMatrix.empty((40, 24))
+    shape = {"1xN": (1, 37), "Nx1": (45, 1)}.get(name, (50, 29))
+    dense = np.where(rng.random(shape) < 0.3, rng.integers(1, 9, size=shape), 0)
+    if name == "empty_rows_cols":
+        dense[::3] = 0
+        dense[:, 1::4] = 0
+    return CSRMatrix.from_dense(dense.astype(np.int32 if name == "int" else np.float32))
+
+
+#: nnz 0, empty rows and columns, 1xN, Nx1, 50x29 (no multiple of any h, w
+#: or v), and int values
+EDGES = ("nnz0", "empty_rows_cols", "1xN", "Nx1", "odd_dims", "int")
+
+
+def _assert_plan_prices_fresh(plan: ExecutionPlan):
+    for n in WIDTHS:
+        report = plan.price(n)
+        counters, timing, meta = _fresh_price(plan, n)
+        _assert_counters_equal(plan.kernel.price(n).counters, counters)
+        assert report.simulated_ms == timing.time_ms, n
+        assert report.gflops == timing.gflops
+        assert report.bound == timing.bound
+        assert report.kernel_meta == meta
+
+
+@pytest.mark.parametrize("edge", EDGES)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_edge_matrices_price_as_the_permuted_matrix(backend, edge):
+    _assert_plan_prices_fresh(ExecutionPlan.build(_edge_matrix(edge), SMaTConfig(kernel=backend)))
+
+
+@pytest.mark.parametrize("matrix", ("clustered",) + EDGES)
+@pytest.mark.parametrize("block_shape", [(16, 8), (8, 16)])
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_smat_prices_block_counts_as_the_permuted_matrix(layout, block_shape, matrix):
+    """SMaT's counters, timing and meta from block counts under the
+    permutation equal those of a kernel prepared on the permuted matrix."""
+    reorder, columns = LAYOUTS[layout]
+    if matrix == "clustered":
+        A = hidden_cluster_matrix(
+            160, 136, cluster_size=16, segments_per_cluster=4, segment_width=8,
+            row_fill=0.85, shuffle=True, rng=np.random.default_rng(9),
+        )
+    else:
+        A = _edge_matrix(matrix)
+    config = SMaTConfig(
+        reorder=reorder, reorder_columns=columns, block_shape=block_shape,
+        auto_skip_reordering=False,
+    )
+    plan = ExecutionPlan.build(A, config)
+    if columns and A.nnz:
+        assert plan.col_perm is not None
+    _assert_plan_prices_fresh(plan)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -199,3 +278,23 @@ def test_priced_layout_is_the_permuted_matrix(backend, layout):
     else:
         assert plan.col_perm is None
     np.testing.assert_array_equal(plan.bcsr.to_dense(), expected.to_dense())
+
+
+@pytest.mark.parametrize("edge", ("clustered",) + EDGES)
+def test_magicube_memory_gate_counts_the_srbcrs_bytes(A, edge):
+    """Magicube's footprint from vector counts is the SR-BCRS layout's
+    bytes, so an HBM just below (above) six times it rejects (accepts)."""
+    matrix = A if edge == "clustered" else _edge_matrix(edge)
+    kernel = get_kernel("magicube")
+    kernel.prepare(matrix)
+    layout_bytes = SRBCRSMatrix.from_csr(matrix).memory_footprint_bytes()
+    assert kernel.layout_bytes == layout_bytes
+    # fits_in_device_memory keeps a 5% reserve for the CUDA context
+    usable_gib = layout_bytes * magicube.MEMORY_FOOTPRINT_FACTOR / (2**30 * 0.95)
+    arch = A100_SXM4_40GB.with_overrides
+    roomy = get_kernel("magicube", arch(hbm_capacity_gib=usable_gib * 1.001))
+    roomy.prepare(matrix)
+    _assert_counters_equal(roomy.price(8).counters, kernel.price(8).counters)
+    tight = get_kernel("magicube", arch(hbm_capacity_gib=usable_gib * 0.999))
+    with pytest.raises(KernelUnsupportedError, match="Magicube preprocessing needs"):
+        tight.prepare(matrix)

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 import repro
+import repro.serve.app as serve_app
 from repro import ExecutionPolicy, SMaT, SMaTConfig
 from repro.core.plan import matrix_fingerprint
 from repro.matrices import band_matrix
@@ -610,6 +611,31 @@ class TestKeepAlive:
             assert _wait_for(lambda: not server._httpd._connections)
             assert client.health()["status"] == "ok"  # reopens on demand
             client.close()
+
+    def test_idle_connection_times_out_and_the_client_reopens(self, A, B, monkeypatch, capfd):
+        monkeypatch.setattr(serve_app._Handler, "timeout", 0.2)
+        exchanges = []
+        exchange = SpMMClient._exchange
+
+        def counted(*args):
+            exchanges.append(args[2])
+            return exchange(*args)
+
+        monkeypatch.setattr(SpMMClient, "_exchange", staticmethod(counted))
+        with SpMMServer(policy=ExecutionPolicy(max_workers=1)) as server:
+            with SpMMClient(server.url) as client:
+                before = set(threading.enumerate())
+                fp = client.register(A)  # leaves one idle handler thread behind
+                handlers = set(threading.enumerate()) - before
+                assert handlers
+                assert _wait_for(lambda: not any(t.is_alive() for t in handlers))
+                assert not server._httpd._connections
+                del exchanges[:]
+                C, info = client.multiply(fp, B)  # the kept-alive socket is dead
+                assert len(exchanges) == 2  # sent once, reopened, sent again
+                np.testing.assert_allclose(C, A.spmm(B), rtol=1e-5)
+                assert info["cache_hit"] is False
+        assert capfd.readouterr().err == ""
 
     def test_close_ends_idle_kept_alive_connections(self):
         server = SpMMServer(policy=ExecutionPolicy(max_workers=1)).start()

@@ -83,10 +83,9 @@ def assert_same_plan(served: ExecutionPlan, fresh: ExecutionPlan) -> None:
         assert np.array_equal(served.col_perm, fresh.col_perm)
     assert served.report == fresh.report
     assert type(served.kernel) is type(fresh.kernel)
-    bcsr = getattr(fresh.kernel, "bcsr", None)
-    if bcsr is not None:
+    if fresh.kernel.wants_reordering:
         for name in ("brow_ptr", "bcol", "blocks"):
-            got, want = getattr(served.bcsr, name), getattr(bcsr, name)
+            got, want = getattr(served.bcsr, name), getattr(fresh.bcsr, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
     for n in WIDTHS:
         assert served.price(n) == fresh.price(n)
