@@ -172,7 +172,6 @@ class ExecutionPlan:
         self.kernel = kernel
         self.report = report
         self.reorder_result = reorder_result
-        self._bcsr: Optional[BCSRMatrix] = None
 
     @classmethod
     def build(cls, A: CSRMatrix, config: Optional[SMaTConfig] = None) -> "ExecutionPlan":
@@ -251,7 +250,9 @@ class ExecutionPlan:
         )
         if applied:
             row_perm, col_perm = result.row_perm, result.col_perm
-            kernel.prepare(A, row_perm=row_perm, col_perm=col_perm)
+            kernel.prepare(
+                A, row_perm=row_perm, col_perm=col_perm, blocks_per_row=result.blocks_per_row
+            )
         else:
             row_perm, col_perm = identity_permutation(A.nrows), None
             kernel.prepare(A)
@@ -318,17 +319,15 @@ class ExecutionPlan:
     @property
     def bcsr(self) -> BCSRMatrix:
         """The BCSR layout of ``A`` under the plan's permutation(s)
-        (blocked backends only), built on first access; execution never
-        reads it."""
+        (blocked backends only), built anew on every access and not kept by
+        the plan: execution never reads it."""
         if not self.kernel.wants_reordering:
             raise AttributeError(
                 f"plan built for backend {self.report.backend!r} has no BCSR "
                 "representation (only blocked kernels convert to BCSR)"
             )
-        if self._bcsr is None:
-            permuted = self.reorder_result.apply(self.A) if self.report.applied else self.A
-            self._bcsr = BCSRMatrix.from_csr(permuted, self.kernel.block_shape)
-        return self._bcsr
+        permuted = self.reorder_result.apply(self.A) if self.report.applied else self.A
+        return BCSRMatrix.from_csr(permuted, self.kernel.block_shape)
 
     @property
     def shape(self) -> Tuple[int, int]:

@@ -101,8 +101,8 @@ class SMaT:
 
     @property
     def bcsr(self) -> BCSRMatrix:
-        """The BCSR layout of the permuted matrix, built on first access
-        (see :attr:`ExecutionPlan.bcsr`)."""
+        """The BCSR layout of the permuted matrix, built anew on every
+        access (see :attr:`ExecutionPlan.bcsr`)."""
         return self.plan.bcsr
 
     @property

@@ -82,18 +82,9 @@ class GPUArchitecture:
         return 1.0 / self.clock_ghz
 
     @property
-    def total_tensor_cores(self) -> int:
-        return self.num_sms * self.tensor_cores_per_sm
-
-    @property
     def tc_fp16_flops_per_sm_per_cycle(self) -> float:
         """FP16 Tensor-Core FLOPs retired per SM per clock at peak."""
         return self.tc_fp16_tflops * 1e12 / (self.num_sms * self.clock_ghz * 1e9)
-
-    @property
-    def fp32_flops_per_sm_per_cycle(self) -> float:
-        """FP32 CUDA-core FLOPs retired per SM per clock at peak."""
-        return self.fp32_tflops * 1e12 / (self.num_sms * self.clock_ghz * 1e9)
 
     @property
     def shared_bandwidth_gbs(self) -> float:

@@ -76,10 +76,6 @@ class SimulatedTiming:
         """Useful GFLOP/s (the figure-of-merit of the paper's plots)."""
         return self.useful_flops / self.time_s / 1e9 if self.time_s > 0 else 0.0
 
-    @property
-    def tflops(self) -> float:
-        return self.gflops / 1e3
-
     def as_dict(self) -> Dict[str, float]:
         out = {
             "time_ms": self.time_ms,

@@ -59,17 +59,6 @@ class Precision(Enum):
         self.np_dtype = np_dtype
 
     # -- helpers -------------------------------------------------------------
-    @property
-    def accumulate_itemsize(self) -> int:
-        """Bytes of the accumulator type (FP32 for the half/int precisions,
-        FP64 for FP64)."""
-        return 8 if self is Precision.FP64 else 4
-
-    @property
-    def ldmatrix_bytes(self) -> int:
-        """Bytes moved by one ``ldmatrix.x4`` (four 8x8 b16 tiles)."""
-        return 4 * 8 * 8 * 2
-
     def mma_count_for_block(self, block_shape: Tuple[int, int], n_cols: int) -> int:
         """Number of MMA instructions needed to apply one stored BCSR block
         of ``block_shape`` against ``n_cols`` columns of ``B``.

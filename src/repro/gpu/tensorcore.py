@@ -17,16 +17,12 @@ __all__ = [
     "TensorCoreModel",
     "LDMATRIX_X2_CYCLES",
     "LDMATRIX_X4_CYCLES",
-    "MMA_PIPELINE_LATENCY_CYCLES",
 ]
 
 #: issue cost (cycles) of ldmatrix.x2 / .x4 per warp, from Ampere
 #: microbenchmarking literature (Abdelkhalik et al. 2022)
 LDMATRIX_X2_CYCLES = 2.0
 LDMATRIX_X4_CYCLES = 4.0
-#: result latency of an isolated mma.m16n8k16 (cycles); only matters when a
-#: warp has no independent work to overlap (the naive variants)
-MMA_PIPELINE_LATENCY_CYCLES = 16.0
 
 
 @dataclass
@@ -67,17 +63,7 @@ class TensorCoreModel:
         """
         return self.arch.warp_schedulers_per_sm / self.sm_mma_per_cycle
 
-    @property
-    def mma_latency_cycles(self) -> float:
-        """Latency of an isolated (non-pipelined) MMA instruction."""
-        return MMA_PIPELINE_LATENCY_CYCLES
-
     # -- instruction helpers ---------------------------------------------------------
-    def ldmatrix_cycles_per_block(self) -> float:
-        """Register-load cost per BCSR block: one ``ldmatrix.x4`` for the A
-        fragment and one ``ldmatrix.x2`` for the B fragment (Algorithm 1)."""
-        return LDMATRIX_X4_CYCLES + LDMATRIX_X2_CYCLES
-
     def device_peak_tflops(self) -> float:
         return self.precision.tc_peak_tflops(self.arch)
 

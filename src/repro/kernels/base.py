@@ -107,6 +107,8 @@ class SpMMKernel(abc.ABC):
         self.precision: Precision = get_precision(precision)
         self.cost_model = CostModel(arch, self.precision)
         self._prepared_for: Optional[CSRMatrix] = None
+        #: whether the summary describes ``_prepared_for`` under a permutation
+        self._permuted = False
         #: n_cols -> (counters, efficiency): plain data, no closures
         self._prices: Dict[int, Tuple[KernelCounters, KernelEfficiency]] = {}
         self._prices_lock = threading.Lock()
@@ -123,8 +125,9 @@ class SpMMKernel(abc.ABC):
     def is_prepared(self) -> bool:
         return self._prepared_for is not None
 
-    def _mark_prepared(self, A: CSRMatrix) -> None:
+    def _mark_prepared(self, A: CSRMatrix, *, permuted: bool = False) -> None:
         self._prepared_for = A
+        self._permuted = permuted
         self._prices = {}
 
     def _require_prepared(self) -> CSRMatrix:
@@ -183,7 +186,8 @@ class SpMMKernel(abc.ABC):
     def run(self, B: np.ndarray) -> KernelResult:
         """``C = A @ B`` -- the prepared matrix's own CSR product, in its
         own order, as plans serve it -- with the simulated price (see
-        :meth:`price`).
+        :meth:`price`) of the structure the kernel was prepared with, which
+        is ``A``'s under the plan's permutation(s) for a plan's kernel.
 
         Every kernel class binds this function as its own ``run``, so a
         wrapper installed on one class (a profiler, the layer-timing
@@ -199,11 +203,12 @@ class SpMMKernel(abc.ABC):
         Re-preparation is keyed on the matrix *content fingerprint*, not
         object identity: an equal matrix loaded twice (two objects, same
         bytes) reuses the prepared state instead of paying the
-        preprocessing again.
+        preprocessing again.  A kernel prepared under a permutation (a
+        plan's) is prepared again for ``A`` itself.
         """
-        if self._prepared_for is None or (
-            self._prepared_for is not A
-            and matrix_fingerprint(self._prepared_for) != matrix_fingerprint(A)
+        prepared = self._prepared_for
+        if prepared is None or self._permuted or (
+            prepared is not A and matrix_fingerprint(prepared) != matrix_fingerprint(A)
         ):
             self.prepare(A)
         return self.run(B)

@@ -38,7 +38,7 @@ import numpy as np
 from ..formats import BCSRMatrix, CSRMatrix
 from ..gpu import AccessPattern, KernelCounters, KernelEfficiency
 from ..gpu.tensorcore import LDMATRIX_X2_CYCLES, LDMATRIX_X4_CYCLES
-from ..reorder.metrics import blocks_per_block_row, count_blocks
+from ..reorder.metrics import BlockingStats, blocks_per_block_row, count_blocks
 from .base import SpMMKernel
 
 __all__ = ["SMaTVariant", "SMaTKernel"]
@@ -139,31 +139,31 @@ class SMaTKernel(SpMMKernel):
         )
         self.block_shape = tuple(block_shape) if block_shape else self.precision.block_shape
         self._bcsr: Optional[BCSRMatrix] = None
-        self._permuted = False
 
     # -- preparation ------------------------------------------------------------
-    def prepare(self, A: CSRMatrix, *, row_perm=None, col_perm=None) -> None:
-        """Count the non-zero blocks per block row of ``A`` under the
-        optional permutations, at the kernel's block shape, and derive the
-        scalars the cost model reads.  Keeps no layout and no permutation."""
-        h, w = self.block_shape
-        bpr = blocks_per_block_row(A, self.block_shape, row_perm=row_perm, col_perm=col_perm)
-        self.blocks_per_row = bpr
-        self.n_blocks = int(bpr.sum())
-        self.n_block_rows = bpr.size
-        self.n_block_cols = -(-A.ncols // w)
-        self.nnz, self.nrows = A.nnz, A.nrows
-        stored = self.n_blocks * h * w
-        self.padding_zeros = stored - self.nnz
-        self.fill_in_ratio = stored / self.nnz if self.nnz else 0.0
+    def prepare(
+        self, A: CSRMatrix, *, row_perm=None, col_perm=None, blocks_per_row=None
+    ) -> None:
+        """Summarise the BCSR blocking of ``A`` under the optional
+        permutations: the non-zero blocks per block row (counted here unless
+        the caller passes them, as a plan passes its reorder's
+        ``blocks_per_row``) and their ``BlockingStats``.  Keeps no layout
+        and no permutation."""
+        if blocks_per_row is None:
+            blocks_per_row = blocks_per_block_row(
+                A, self.block_shape, row_perm=row_perm, col_perm=col_perm
+            )
+        self.blocks_per_row = blocks_per_row
+        self.stats = BlockingStats.from_counts(blocks_per_row, A.nnz, self.block_shape)
+        self.n_block_cols = -(-A.ncols // self.block_shape[1])
         self._bcsr = None
-        self._permuted = row_perm is not None or col_perm is not None
-        self._mark_prepared(A)
+        self._mark_prepared(A, permuted=row_perm is not None or col_perm is not None)
 
     @property
     def bcsr(self) -> Optional[BCSRMatrix]:
         """The BCSR layout of the prepared matrix, built on first access
-        (``None`` before :meth:`prepare`).  A plan's permuted layout is
+        (``None`` before :meth:`prepare`).  A kernel prepared under a
+        permutation has none; a plan's permuted layout is
         :attr:`repro.core.plan.ExecutionPlan.bcsr`."""
         if self._permuted:
             raise RuntimeError("a kernel prepared under a permutation keeps no layout")
@@ -216,7 +216,7 @@ class SMaTKernel(SpMMKernel):
         last_tile_cols = max(1, n_cols) - (n_tiles - 1) * mma_n
 
         blocks_per_row = self.blocks_per_row.astype(np.float64)
-        warp_cycles = np.empty(self.n_block_rows * n_tiles, dtype=np.float64)
+        warp_cycles = np.empty(self.stats.n_block_rows * n_tiles, dtype=np.float64)
         for tile in range(n_tiles):
             cols = mma_n if tile < n_tiles - 1 else last_tile_cols
             per_block = self._per_block_cycles(cols)
@@ -232,7 +232,8 @@ class SMaTKernel(SpMMKernel):
     def _counters(self, n_cols: int) -> KernelCounters:
         h, w = self.block_shape
         item = self.precision.itemsize
-        n_blocks = self.n_blocks
+        A, stats = self._prepared_for, self.stats
+        n_blocks = stats.n_blocks
         mma_n = self.precision.mma_shape.n
         n_tiles = -(-max(1, n_cols) // mma_n)
 
@@ -241,13 +242,13 @@ class SMaTKernel(SpMMKernel):
         mma_flops = mma_instructions * self.precision.mma_shape.flops
         cuda_flops = 0.0 if self.variant.use_tensor_cores else 2.0 * n_blocks * h * w * n_cols
 
-        bytes_A = n_blocks * (h * w * item + 4) + (self.n_block_rows + 1) * 4
+        bytes_A = n_blocks * (h * w * item + 4) + (stats.n_block_rows + 1) * 4
         bytes_B = float(n_blocks) * w * n_cols * item
-        bytes_C = float(self.nrows) * n_cols * item
+        bytes_C = float(A.nrows) * n_cols * item
         bytes_shared = float(n_blocks) * (h * w + w * mma_n) * item * n_tiles
 
         return KernelCounters(
-            useful_flops=self.useful_flops(self.nnz, n_cols),
+            useful_flops=self.useful_flops(A.nnz, n_cols),
             mma_instructions=mma_instructions,
             mma_flops=mma_flops,
             cuda_core_flops=cuda_flops,
@@ -258,8 +259,8 @@ class SMaTKernel(SpMMKernel):
             warp_work_cycles=self._warp_work_cycles(n_cols),
             extra={
                 "n_blocks": float(n_blocks),
-                "padding_zeros": float(self.padding_zeros),
-                "n_warps": float(self.n_block_rows * n_tiles),
+                "padding_zeros": float(stats.padding_zeros),
+                "n_warps": float(stats.n_block_rows * n_tiles),
             },
         )
 
@@ -286,9 +287,9 @@ class SMaTKernel(SpMMKernel):
     def _meta(self, counters, timing):
         return {
             "variant": self.variant.label,
-            "n_blocks": self.n_blocks,
+            "n_blocks": self.stats.n_blocks,
             "block_shape": self.block_shape,
-            "fill_in_ratio": self.fill_in_ratio,
+            "fill_in_ratio": self.stats.fill_in_ratio,
         }
 
     run = SpMMKernel.run  # on the class itself: see SpMMKernel.run

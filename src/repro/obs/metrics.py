@@ -280,11 +280,6 @@ class Histogram(_Metric):
         with self._lock:
             return sum(s.sum for s in self._series.values())
 
-    def series_keys(self) -> List[Tuple[str, ...]]:
-        """Label-value tuples with at least one series, sorted."""
-        with self._lock:
-            return sorted(self._series)
-
     def window_values(self, **labels: Any) -> List[float]:
         """The retained raw samples of one series, oldest first."""
         with self._lock:

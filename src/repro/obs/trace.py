@@ -361,11 +361,6 @@ class Tracer:
             self._finished.clear()
             return spans
 
-    def open_spans(self) -> List[Span]:
-        """Spans started but not yet finished (should be empty at rest)."""
-        with self._lock:
-            return list(self._open.values())
-
     @property
     def open_count(self) -> int:
         """Number of currently open (started, unfinished) spans."""

@@ -24,6 +24,7 @@ import numpy as np
 
 from ..formats import CSRMatrix
 from ..formats.base import sort_unique
+from .metrics import block_coordinates
 
 __all__ = ["RowPatterns", "greedy_cluster_rows"]
 
@@ -71,15 +72,10 @@ class RowPatterns:
         granularity ``block_width``."""
         w = int(block_width)
         n_block_cols = -(-csr.ncols // w) if csr.ncols else 0
-        rows = np.repeat(np.arange(csr.nrows, dtype=np.int64), np.diff(csr.rowptr))
-        bcols = csr.col.astype(np.int64) // w
-        if rows.size:
-            pairs = sort_unique(rows * max(1, n_block_cols) + bcols)
-            u_rows = pairs // max(1, n_block_cols)
-            u_bcol = pairs - u_rows * max(1, n_block_cols)
-        else:
-            u_rows = np.empty(0, dtype=np.int64)
-            u_bcol = np.empty(0, dtype=np.int64)
+        # (row, block column) pairs are the blocks of a (1, w) blocking
+        pairs = block_coordinates(csr, (1, w))
+        u_rows = pairs // max(1, n_block_cols)
+        u_bcol = pairs - u_rows * max(1, n_block_cols)
 
         sizes = np.bincount(u_rows, minlength=csr.nrows).astype(np.int64)
         rowptr = np.zeros(csr.nrows + 1, dtype=np.int64)

@@ -22,7 +22,7 @@ from typing import Dict, Optional, Tuple, Type
 import numpy as np
 
 from ..formats import CSRMatrix
-from .metrics import BlockingStats, blocking_stats
+from .metrics import BlockingStats, blocking_stats, blocks_per_block_row
 
 __all__ = [
     "ReorderResult",
@@ -51,6 +51,9 @@ class ReorderResult:
     stats_before, stats_after:
         Blocking statistics of the matrix before/after applying the
         permutations, for the block shape the reorderer targeted.
+    blocks_per_row:
+        Non-zero blocks in each block row after the permutations, the
+        counts ``stats_after`` summarises (``None`` without stats).
     algorithm:
         Name of the algorithm that produced the permutation.
     """
@@ -59,6 +62,7 @@ class ReorderResult:
     col_perm: Optional[np.ndarray] = None
     stats_before: Optional[BlockingStats] = None
     stats_after: Optional[BlockingStats] = None
+    blocks_per_row: Optional[np.ndarray] = None
     algorithm: str = "identity"
     extra: Dict[str, float] = field(default_factory=dict)
 
@@ -126,17 +130,19 @@ class Reorderer(abc.ABC):
         if self.permute_columns:
             col_perm = np.asarray(self.compute_col_perm(csr), dtype=np.int64)
 
-        stats_before = stats_after = None
+        stats_before = stats_after = bpr = None
         if with_stats:
             stats_before = blocking_stats(csr, self.block_shape)
-            stats_after = blocking_stats(
+            bpr = blocks_per_block_row(
                 csr, self.block_shape, row_perm=row_perm, col_perm=col_perm
             )
+            stats_after = BlockingStats.from_counts(bpr, csr.nnz, self.block_shape)
         return ReorderResult(
             row_perm=row_perm,
             col_perm=col_perm,
             stats_before=stats_before,
             stats_after=stats_after,
+            blocks_per_row=bpr,
             algorithm=self.name + ("+column" if self.permute_columns else ""),
         )
 

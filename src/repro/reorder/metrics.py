@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..formats import CSRMatrix
-from ..formats.base import sort_unique
+from ..formats.base import run_starts
 
 __all__ = [
     "BlockingStats",
@@ -46,6 +46,25 @@ class BlockingStats:
     padding_zeros: int
     fill_in_ratio: float
 
+    @classmethod
+    def from_counts(
+        cls, blocks_per_row: np.ndarray, nnz: int, block_shape: Tuple[int, int]
+    ) -> "BlockingStats":
+        """The summary of a blocking given its non-zero blocks per block row
+        (see :func:`blocks_per_block_row`) and the matrix's stored entries."""
+        bpr = blocks_per_row
+        n_blocks = int(bpr.sum())
+        stored = n_blocks * int(block_shape[0]) * int(block_shape[1])
+        return cls(
+            n_blocks=n_blocks,
+            n_block_rows=int(bpr.size),
+            mean_blocks_per_row=float(bpr.mean()) if bpr.size else 0.0,
+            std_blocks_per_row=float(bpr.std()) if bpr.size else 0.0,
+            max_blocks_per_row=int(bpr.max()) if bpr.size else 0,
+            padding_zeros=stored - nnz,
+            fill_in_ratio=(stored / nnz) if nnz else 0.0,
+        )
+
     @property
     def cv(self) -> float:
         """Coefficient of variation of the blocks-per-row distribution."""
@@ -54,25 +73,15 @@ class BlockingStats:
         return self.std_blocks_per_row / self.mean_blocks_per_row
 
 
-def _apply_perms(
-    csr: CSRMatrix,
-    row_perm: Optional[np.ndarray],
-    col_perm: Optional[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Return (rows, cols) coordinate arrays of the permuted matrix."""
-    rows = np.repeat(np.arange(csr.nrows, dtype=np.int64), np.diff(csr.rowptr))
-    cols = csr.col.astype(np.int64, copy=False)
-    if row_perm is not None:
-        row_perm = np.asarray(row_perm, dtype=np.int64)
-        inv = np.empty_like(row_perm)
-        inv[row_perm] = np.arange(row_perm.size, dtype=np.int64)
-        rows = inv[rows]
-    if col_perm is not None:
-        col_perm = np.asarray(col_perm, dtype=np.int64)
-        inv = np.empty_like(col_perm)
-        inv[col_perm] = np.arange(col_perm.size, dtype=np.int64)
-        cols = inv[cols]
-    return rows, cols
+def _inverse(perm: Optional[np.ndarray], n: int) -> np.ndarray:
+    """Where each original index lands under a "new -> old" permutation
+    (the identity for ``None``)."""
+    where = np.arange(n, dtype=np.int64)
+    if perm is None:
+        return where
+    inv = np.empty(n, dtype=np.int64)
+    inv[np.asarray(perm, dtype=np.int64)] = where
+    return inv
 
 
 def block_coordinates(
@@ -82,15 +91,23 @@ def block_coordinates(
     row_perm: Optional[np.ndarray] = None,
     col_perm: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Unique linear block ids touched by the (permuted) matrix.
+    """Unique linear block ids touched by the (permuted) matrix, sorted.
 
-    The linear id of block ``(I, J)`` is ``I * n_block_cols + J``.
+    The linear id of block ``(I, J)`` is ``I * n_block_cols + J``.  Block
+    rows and columns are looked up per row and per column, so the pass
+    allocates one ``nnz``-long id array (plus a column term) and sorts it
+    in place.
     """
     h, w = int(block_shape[0]), int(block_shape[1])
-    rows, cols = _apply_perms(csr, row_perm, col_perm)
     n_block_cols = -(-csr.ncols // w) if csr.ncols else 0
-    block_ids = (rows // h) * n_block_cols + (cols // w)
-    return sort_unique(block_ids)
+    row_ids = _inverse(row_perm, csr.nrows) // h * n_block_cols
+    ids = np.repeat(row_ids, np.diff(csr.rowptr))
+    if col_perm is None:
+        ids += csr.col // w
+    else:
+        ids += (_inverse(col_perm, csr.ncols) // w)[csr.col]
+    ids.sort()
+    return ids[run_starts(ids)]
 
 
 def count_blocks(
@@ -146,19 +163,7 @@ def blocking_stats(
         if (h, w) in memo:
             return memo[(h, w)]
     bpr = blocks_per_block_row(csr, block_shape, row_perm=row_perm, col_perm=col_perm)
-    n_blocks = int(bpr.sum())
-    stored = n_blocks * h * w
-    nnz = csr.nnz
-    mean = float(bpr.mean()) if bpr.size else 0.0
-    stats = BlockingStats(
-        n_blocks=n_blocks,
-        n_block_rows=int(bpr.size),
-        mean_blocks_per_row=mean,
-        std_blocks_per_row=float(bpr.std()) if bpr.size else 0.0,
-        max_blocks_per_row=int(bpr.max()) if bpr.size else 0,
-        padding_zeros=stored - nnz,
-        fill_in_ratio=(stored / nnz) if nnz else 0.0,
-    )
+    stats = BlockingStats.from_counts(bpr, csr.nnz, (h, w))
     if memo is not None:
         memo[(h, w)] = stats
     return stats

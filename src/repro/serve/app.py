@@ -71,11 +71,12 @@ from .registry import MatrixRegistry
 from .wire import (
     INFO_HEADER,
     NPY_CONTENT_TYPE,
+    ReceiveBuffer,
     decode_array,
     decode_csr,
     decode_npy,
     encode_array,
-    encode_npy,
+    npy_parts,
     report_payload,
 )
 
@@ -512,13 +513,13 @@ class _Handler(BaseHTTPRequestHandler):
     All domain work happens on the :class:`SpMMServer` methods; this
     class only translates HTTP to/from them and accounts metrics/logs.
     Connections are persistent (HTTP/1.1 keep-alive) until idle for
-    :attr:`timeout` seconds; the client reopens a dropped one.
+    :attr:`idle_timeout` seconds; the client reopens a dropped one.
     """
 
     protocol_version = "HTTP/1.1"
-    #: socket timeout in seconds: an idle kept-alive connection is closed
-    #: after it, so that it does not hold its handler thread forever
-    timeout = 30.0
+    #: seconds a kept-alive connection may wait for its next request line;
+    #: an idle one is then closed, so it does not hold its handler thread
+    idle_timeout = 30.0
     # headers and body are separate writes: without TCP_NODELAY, Nagle's
     # algorithm holds the body back for the client's delayed ACK
     disable_nagle_algorithm = True
@@ -533,26 +534,45 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: D102 - silencing stdlib logging
         pass
 
+    def setup(self):  # noqa: D102 - stdlib hook
+        super().setup()
+        #: this connection's buffer for npy request bodies
+        self._npy_buffer = ReceiveBuffer()
+
+    def handle_one_request(self):  # noqa: D102 - stdlib hook
+        # the timeout covers only the wait for the request line: a socket
+        # in timeout mode polls before every recv/send of the body
+        self.connection.settimeout(self.idle_timeout)
+        super().handle_one_request()
+
+    def parse_request(self):  # noqa: D102 - stdlib hook
+        self.connection.settimeout(None)
+        return super().parse_request()
+
     def _send(
         self,
         status: int,
-        body: bytes,
+        body,
         content_type: str,
         *,
         request_id: str,
         headers: Tuple[Tuple[str, str], ...] = (),
     ) -> None:
-        """Write one complete response."""
+        """Write one complete response; ``body`` is bytes or a tuple of
+        byte buffers written one after the other (see
+        :func:`~repro.serve.wire.npy_parts`)."""
+        parts = body if isinstance(body, tuple) else (body,)
         self.send_response(status)
         self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Content-Length", str(sum(len(part) for part in parts)))
         self.send_header("X-Request-ID", request_id)
         for name, value in headers:
             self.send_header(name, value)
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(body)
+        for part in parts:
+            self.wfile.write(part)
 
     def _send_json(
         self,
@@ -576,7 +596,7 @@ class _Handler(BaseHTTPRequestHandler):
             info = {k: v for k, v in payload.items() if k != "C"}
             self._send(
                 status,
-                encode_npy(payload["C"]),
+                npy_parts(payload["C"]),
                 NPY_CONTENT_TYPE,
                 request_id=request_id,
                 headers=((INFO_HEADER, json.dumps(info)),),
@@ -601,8 +621,9 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(b"0\r\n\r\n")
         return count
 
-    def _read_body(self) -> bytes:
-        """Read the request body under the size limit."""
+    def _read_body(self, buffer: Optional[ReceiveBuffer] = None):
+        """Read the request body under the size limit: a new ``bytes``, or
+        a view of ``buffer`` when one is given."""
         length_header = self.headers.get("Content-Length")
         if length_header is None:
             raise BadRequest("missing Content-Length")
@@ -619,7 +640,7 @@ class _Handler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds the "
                 f"{self.app.max_body_bytes}-byte limit"
             )
-        raw = self.rfile.read(length)
+        raw = self.rfile.read(length) if buffer is None else buffer.read(self.rfile, length)
         self._body_consumed = True
         return raw
 
@@ -640,7 +661,7 @@ class _Handler(BaseHTTPRequestHandler):
         ``config`` in the query string."""
         if self.headers.get_content_type() != NPY_CONTENT_TYPE:
             return self._read_json_body()
-        raw = self._read_body()
+        raw = self._read_body(self._npy_buffer)
         payload: Dict[str, object] = {"B": decode_npy(raw, field="B")}
         params = parse_qs(query)
         if "fingerprint" in params:

@@ -5,8 +5,10 @@ scripts, docs, and tests need no extra dependency and never hand-roll
 the wire format.  Each thread keeps one persistent (keep-alive)
 connection.  Operands of ``multiply``/``submit`` travel as
 ``application/x-npy`` bodies and results come back the same way
-(:func:`~repro.serve.wire.encode_npy`/:func:`~repro.serve.wire.decode_npy`),
-so a warm multiply pays no text encoding; matrix registration and
+(:func:`~repro.serve.wire.npy_parts`/:func:`~repro.serve.wire.decode_npy`),
+so a warm multiply pays no text encoding: ``B`` is sent from its own
+buffer and ``C`` read into the thread's reused
+:class:`~repro.serve.wire.ReceiveBuffer`.  Matrix registration and
 streams use the JSON forms (:func:`~repro.serve.wire.encode_csr`,
 :func:`~repro.serve.wire.encode_array`).  Results are numpy arrays.
 
@@ -23,7 +25,7 @@ import json
 import threading
 import time
 import weakref
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 from urllib.parse import urlencode, urlsplit
 
 import numpy as np
@@ -32,16 +34,20 @@ from ..formats import CSRMatrix
 from .wire import (
     INFO_HEADER,
     NPY_CONTENT_TYPE,
+    ReceiveBuffer,
     decode_array,
     decode_npy,
     encode_array,
     encode_csr,
-    encode_npy,
+    npy_parts,
 )
 
 __all__ = ["SpMMClient", "ServeClientError"]
 
 _JSON = "application/json"
+
+#: a request body: JSON bytes, or an npy file's parts sent one after the other
+_Body = Union[bytes, Tuple[bytes, memoryview]]
 
 
 def _close_all(connections: Dict[threading.Thread, http.client.HTTPConnection]) -> None:
@@ -103,6 +109,8 @@ class SpMMClient:
         #: each thread's persistent connection
         self._connections: Dict[threading.Thread, http.client.HTTPConnection] = {}
         self._connections_lock = threading.Lock()
+        #: each thread's receive buffer for npy results
+        self._local = threading.local()
         # a client dropped without close() still releases its sockets
         weakref.finalize(self, _close_all, self._connections)
 
@@ -136,7 +144,7 @@ class SpMMClient:
         self,
         method: str,
         path: str,
-        body: Optional[bytes] = None,
+        body: Optional[_Body] = None,
         content_type: str = _JSON,
     ) -> Tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
         """Send one request on this thread's connection; returns the
@@ -149,6 +157,8 @@ class SpMMClient:
         headers = {"Accept": f"{NPY_CONTENT_TYPE}, {_JSON}"}
         if body is not None:
             headers["Content-Type"] = content_type
+        if isinstance(body, tuple):
+            headers["Content-Length"] = str(sum(len(part) for part in body))
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
         conn = self._connection()
@@ -169,7 +179,7 @@ class SpMMClient:
         conn: http.client.HTTPConnection,
         method: str,
         url: str,
-        body: Optional[bytes],
+        body: Optional[_Body],
         headers: Dict[str, str],
     ) -> http.client.HTTPResponse:
         try:
@@ -189,22 +199,36 @@ class SpMMClient:
             conn.close()
             raise
 
+    def _read_npy(
+        self, conn: http.client.HTTPConnection, resp: http.client.HTTPResponse
+    ) -> np.ndarray:
+        """An npy response body decoded into a new array, read through this
+        thread's receive buffer (a failed read closes the connection)."""
+        if resp.length is None:
+            return decode_npy(self._read(conn, resp), field="C")
+        buffer = self._local.__dict__.setdefault("buffer", ReceiveBuffer())
+        try:
+            raw = buffer.read(resp, resp.length)
+        except (OSError, http.client.HTTPException):
+            conn.close()
+            raise
+        return decode_npy(raw, field="C")
+
     def _call(
         self,
         method: str,
         path: str,
-        body: Optional[bytes] = None,
+        body: Optional[_Body] = None,
         content_type: str = _JSON,
     ) -> Dict[str, object]:
         """One request/response exchange; returns the response payload.
         An npy response becomes its info header's fields plus ``C``."""
         conn, resp = self._send(method, path, body, content_type)
-        raw = self._read(conn, resp)
         if resp.getheader("Content-Type") == NPY_CONTENT_TYPE:
             payload = json.loads(resp.getheader(INFO_HEADER) or "{}")
-            payload["C"] = decode_npy(raw, field="C")
+            payload["C"] = self._read_npy(conn, resp)
             return payload
-        return json.loads(raw)
+        return json.loads(self._read(conn, resp))
 
     def _request(
         self, method: str, path: str, payload: Optional[Dict[str, object]] = None
@@ -221,7 +245,7 @@ class SpMMClient:
         query = {"fingerprint": fingerprint}
         if config is not None:
             query["config"] = json.dumps(config)
-        return self._call("POST", f"{path}?{urlencode(query)}", encode_npy(B), NPY_CONTENT_TYPE)
+        return self._call("POST", f"{path}?{urlencode(query)}", npy_parts(B), NPY_CONTENT_TYPE)
 
     def _error_from(
         self, conn: http.client.HTTPConnection, resp: http.client.HTTPResponse

@@ -29,7 +29,7 @@ import base64
 import io
 import math
 import tokenize
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +41,9 @@ __all__ = [
     "NPY_CONTENT_TYPE",
     "INFO_HEADER",
     "encode_npy",
+    "npy_parts",
     "decode_npy",
+    "ReceiveBuffer",
     "encode_array",
     "decode_array",
     "encode_csr",
@@ -65,7 +67,7 @@ _MAX_NPY_HEADER = 1024
 
 
 def _array_from_buffer(
-    raw: bytes, dtype: np.dtype, shape: Sequence[int], *, offset: int = 0, field: str
+    raw, dtype: np.dtype, shape: Sequence[int], *, offset: int = 0, field: str
 ) -> np.ndarray:
     """Validate ``dtype``/``shape`` against ``raw[offset:]`` and return a
     writable native-order copy; every failure is a :class:`BadRequest`."""
@@ -88,24 +90,56 @@ def _array_from_buffer(
     return arr.astype(dtype.newbyteorder("="), copy=True)
 
 
-def encode_npy(arr: np.ndarray) -> bytes:
-    """Encode a numpy array as the bytes of one C-order ``.npy`` file."""
+def npy_parts(arr: np.ndarray) -> Tuple[bytes, memoryview]:
+    """The two parts of ``arr``'s C-order ``.npy`` file: the header bytes
+    and a flat byte view of the data, which a writer sends one after the
+    other without joining them (no copy of a C-contiguous ``arr``)."""
     arr = np.ascontiguousarray(arr)
     if arr.dtype.kind not in _ALLOWED_KINDS:
         raise ValueError(f"cannot encode dtype {arr.dtype} over the wire")
-    buf = io.BytesIO()
-    np.lib.format.write_array(buf, arr, allow_pickle=False)
-    return buf.getvalue()
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(arr))
+    return header.getvalue(), memoryview(arr.reshape(-1).view(np.uint8))
 
 
-def decode_npy(raw: bytes, *, field: str = "array") -> np.ndarray:
-    """Decode the bytes of one ``.npy`` file into a writable array.
+def encode_npy(arr: np.ndarray) -> bytes:
+    """Encode a numpy array as the bytes of one C-order ``.npy`` file."""
+    return b"".join(npy_parts(arr))
+
+
+class ReceiveBuffer:
+    """A growable buffer that one connection reads every ``.npy`` body
+    into, so that a warm exchange reuses its pages instead of allocating a
+    payload-sized ``bytes`` object per body."""
+
+    def __init__(self) -> None:
+        self._buf = bytearray()
+
+    def read(self, stream, length: int) -> memoryview:
+        """Read ``length`` bytes of ``stream`` (fewer if it ends first); the
+        view is valid until the next :meth:`read`."""
+        if len(self._buf) < length:
+            self._buf = bytearray(length)
+        view = memoryview(self._buf)[:length]
+        got = 0
+        while got < length:
+            n = stream.readinto(view[got:])
+            if not n:
+                break
+            got += n
+        return view[:got]
+
+
+def decode_npy(raw, *, field: str = "array") -> np.ndarray:
+    """Decode the bytes of one ``.npy`` file (any bytes-like object) into a
+    new writable array.
 
     Accepts format versions 1.0 and 2.0 with a header of at most 1024
     characters, C order only, either byte order (the result is native).
     Raises :class:`~repro.serve.errors.BadRequest` on any malformed input.
     """
-    fp = io.BytesIO(raw)
+    # magic, version and length field take at most 12 bytes
+    fp = io.BytesIO(raw[: 12 + _MAX_NPY_HEADER])
     try:
         version = np.lib.format.read_magic(fp)
         if version == (1, 0):

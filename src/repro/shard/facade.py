@@ -30,7 +30,6 @@ from ..core.config import SMaTConfig
 from ..core.policy import ExecutionPolicy
 from ..engine import SpMMEngine
 from ..formats import CSRMatrix
-from .executor import ShardedReport
 from .partition import PARTITION_MODES, Partition, parse_grid
 from .plan import ShardPlanEntry
 
@@ -170,20 +169,6 @@ class ShardedSpMM:
         if not return_report:
             return C
         return C, report
-
-    def shard_table(self, B: Optional[np.ndarray] = None) -> List[dict]:
-        """Per-shard breakdown rows (runs one multiply to price the shards;
-        pass ``B`` to control the operand, default is an 8-column ones
-        matrix)."""
-        if B is None:
-            B = np.ones((self.A.ncols, 8), dtype=np.float32)
-        _, report = self.multiply(B, return_report=True)
-        return report.table()
-
-    def report_for(self, B: np.ndarray) -> ShardedReport:
-        """Run one multiply and return only its :class:`ShardedReport`."""
-        _, report = self.multiply(B, return_report=True)
-        return report
 
     # -- lifecycle ------------------------------------------------------------
     def close(self) -> None:

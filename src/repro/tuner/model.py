@@ -84,11 +84,6 @@ class CandidateEstimate:
         """Predicted time at the Eq. 2 lower block-count bound (ms)."""
         return 1e3 * self.optimistic_s
 
-    @property
-    def guaranteed_ms(self) -> float:
-        """Predicted time at the unreordered block count (ms)."""
-        return 1e3 * self.guaranteed_s
-
 
 def _calibration_key(
     config: SMaTConfig, block_shape: Tuple[int, int], n_cols: int, kernel: str

@@ -298,3 +298,24 @@ def test_magicube_memory_gate_counts_the_srbcrs_bytes(A, edge):
     tight = get_kernel("magicube", arch(hbm_capacity_gib=usable_gib * 0.999))
     with pytest.raises(KernelUnsupportedError, match="Magicube preprocessing needs"):
         tight.prepare(matrix)
+
+
+@pytest.mark.parametrize("layout", ["jaccard", "jaccard+columns"])
+def test_plan_kernel_multiply_prepares_for_a_itself(A, layout):
+    """A plan's kernel summarises ``A`` under a permutation, so
+    ``multiply(plan.A, B)`` prepares it again for ``A`` itself: ``C`` and
+    the price are those of a kernel prepared on ``A``."""
+    reorder, columns = LAYOUTS[layout]
+    plan = ExecutionPlan.build(
+        A, SMaTConfig(reorder=reorder, reorder_columns=columns, auto_skip_reordering=False)
+    )
+    assert plan.report.applied
+    B = np.random.default_rng(4).random((A.ncols, 8), dtype=np.float32)
+    got = plan.kernel.multiply(plan.A, B)
+    fresh = get_kernel("smat")
+    fresh.prepare(A)
+    want = fresh.run(B)
+    np.testing.assert_array_equal(got.C, A.spmm(B))
+    _assert_counters_equal(got.counters, want.counters)
+    assert got.time_ms == want.time_ms
+    assert got.meta == want.meta

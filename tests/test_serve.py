@@ -12,6 +12,7 @@ import http.client
 import io
 import json
 import os
+import socket
 import struct
 import subprocess
 import sys
@@ -613,7 +614,7 @@ class TestKeepAlive:
             client.close()
 
     def test_idle_connection_times_out_and_the_client_reopens(self, A, B, monkeypatch, capfd):
-        monkeypatch.setattr(serve_app._Handler, "timeout", 0.2)
+        monkeypatch.setattr(serve_app._Handler, "idle_timeout", 0.2)
         exchanges = []
         exchange = SpMMClient._exchange
 
@@ -636,6 +637,28 @@ class TestKeepAlive:
                 np.testing.assert_allclose(C, A.spmm(B), rtol=1e-5)
                 assert info["cache_hit"] is False
         assert capfd.readouterr().err == ""
+
+    def test_idle_timeout_spares_a_request_in_progress(self, A, B, monkeypatch):
+        """The idle timeout covers only the wait for a request line: a body
+        that arrives later than it is still read and answered."""
+        monkeypatch.setattr(serve_app._Handler, "idle_timeout", 0.2)
+        with SpMMServer(policy=ExecutionPolicy(max_workers=1)) as server:
+            with SpMMClient(server.url) as client:
+                fp = client.register(A)
+            body = encode_npy(B)
+            head = (
+                f"POST /multiply?fingerprint={fp} HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Type: {NPY_CONTENT_TYPE}\r\nContent-Length: {len(body)}\r\n"
+                "Connection: close\r\n\r\n"
+            )
+            with socket.create_connection(server.address) as sock:
+                sock.sendall(head.encode("ascii"))
+                time.sleep(0.5)
+                sock.sendall(body)
+                reply = sock.makefile("rb").read()
+        assert reply.startswith(b"HTTP/1.1 200")
+        C = decode_array(json.loads(reply.split(b"\r\n\r\n", 1)[1])["C"])
+        np.testing.assert_allclose(C, A.spmm(B), rtol=1e-5)
 
     def test_close_ends_idle_kept_alive_connections(self):
         server = SpMMServer(policy=ExecutionPolicy(max_workers=1)).start()

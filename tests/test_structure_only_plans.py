@@ -18,6 +18,7 @@ from repro.engine import SpMMEngine
 from repro.formats import BCSRMatrix, SRBCRSMatrix
 from repro.formats.base import SparseFormat
 from repro.matrices import hidden_cluster_matrix
+from repro.reorder import metrics
 from repro.shard import ShardedSpMM
 from repro.tuner import tune
 
@@ -97,3 +98,20 @@ def test_kernel_keeps_only_the_structure_summary(A, backend):
     assert max(a.size for a in arrays) <= n_units + 1
     formats = [v for v in vars(kernel).values() if isinstance(v, SparseFormat)]
     assert formats == [A]
+
+
+def test_reordered_build_counts_the_permuted_blocks_once(A, monkeypatch):
+    """SMaT prepares from the counts its plan's reorder took for
+    ``stats_after`` instead of counting the permuted blocks again."""
+    permuted_passes = []
+    block_coordinates = metrics.block_coordinates
+
+    def counted(csr, block_shape, *, row_perm=None, col_perm=None):
+        permuted_passes.append(row_perm is not None or col_perm is not None)
+        return block_coordinates(csr, block_shape, row_perm=row_perm, col_perm=col_perm)
+
+    monkeypatch.setattr(metrics, "block_coordinates", counted)
+    plan = ExecutionPlan.build(A, SMaTConfig(reorder="jaccard", auto_skip_reordering=False))
+    assert plan.report.applied
+    assert permuted_passes.count(True) == 1
+    np.testing.assert_array_equal(plan.kernel.blocks_per_row, plan.reorder_result.blocks_per_row)
