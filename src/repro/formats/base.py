@@ -85,12 +85,19 @@ def sort_unique(values: np.ndarray, *, return_counts: bool = False):
     block ids of the preprocessing passes, where numpy's hash-based
     ``unique`` is slow.
     """
-    ordered = np.sort(np.asarray(values).ravel())
+    ordered = np.asarray(values).flatten()  # a copy, sorted in place
+    ordered.sort()
     mask = run_starts(ordered)
     unique = ordered[mask]
     if not return_counts:
         return unique
-    return unique, np.diff(np.flatnonzero(mask), append=ordered.size)
+    # run lengths: differences of the run starts, the last run ending at
+    # the array's end (``np.diff(..., append=)`` broadcasts on every call)
+    starts = mask.nonzero()[0]
+    counts = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1:] = ordered.size - starts[-1:]
+    return unique, counts
 
 
 def check_shape(shape: Tuple[int, int]) -> Tuple[int, int]:

@@ -16,6 +16,7 @@ paper (SMaT, cuSPARSE, DASP, Magicube, cuBLAS).  A kernel
 from __future__ import annotations
 
 import abc
+import copy
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -204,14 +205,25 @@ class SpMMKernel(abc.ABC):
         object identity: an equal matrix loaded twice (two objects, same
         bytes) reuses the prepared state instead of paying the
         preprocessing again.  A kernel prepared under a permutation (a
-        plan's) is prepared again for ``A`` itself.
+        plan's) is left as its plan prepared it: a fresh copy of it is
+        prepared for ``A`` itself and runs instead.
         """
-        prepared = self._prepared_for
-        if prepared is None or self._permuted or (
+        kernel = self._unprepared_copy() if self._permuted else self
+        prepared = kernel._prepared_for
+        if prepared is None or (
             prepared is not A and matrix_fingerprint(prepared) != matrix_fingerprint(A)
         ):
-            self.prepare(A)
-        return self.run(B)
+            kernel.prepare(A)
+        return kernel.run(B)
+
+    def _unprepared_copy(self) -> "SpMMKernel":
+        """A copy with this kernel's configuration and no prepared state."""
+        fresh = copy.copy(self)
+        fresh._prepared_for = None
+        fresh._permuted = False
+        fresh._prices = {}
+        fresh._prices_lock = threading.Lock()
+        return fresh
 
     def tuning_work(self, A: CSRMatrix) -> float:
         """The work measure the tuner's Eq. 1-style linear cost model

@@ -62,10 +62,6 @@ class RowPatterns:
         """Sorted block-column support of ``row``."""
         return self.bcol[self.rowptr[row] : self.rowptr[row + 1]]
 
-    def rows_touching(self, block_col: int) -> np.ndarray:
-        """Rows whose pattern contains ``block_col``."""
-        return self.rows_of_col[self.colptr[block_col] : self.colptr[block_col + 1]]
-
     @classmethod
     def from_csr(cls, csr: CSRMatrix, block_width: int) -> "RowPatterns":
         """Build the pattern structure from a CSR matrix at block-column
@@ -115,7 +111,9 @@ def greedy_cluster_rows(
     similarity:
         ``similarity(inter, cand_sizes, seed_size) -> scores`` computing a
         similarity in ``[0, 1]`` for every candidate row given the
-        intersection sizes with the seed pattern (vectorised).
+        intersection sizes with the seed pattern (vectorised).  It is
+        called only with ``seed_size > 0`` and ``inter >= 1``: every
+        candidate shares a block column with the seed.
     threshold:
         Minimum similarity for a row to join the seed's cluster.
     seed_order:
@@ -142,42 +140,34 @@ def greedy_cluster_rows(
 
     if seed_order is None:
         seed_order = np.argsort(-patterns.sizes, kind="stable")
-    for seed in seed_order:
-        seed = int(seed)
+    # plain-int pointers and float sizes, converted once for the loop
+    rowptr, colptr = patterns.rowptr.tolist(), patterns.colptr.tolist()
+    bcol, rows_of_col = patterns.bcol, patterns.rows_of_col
+    sizes = patterns.sizes.astype(np.float64)
+    for seed in np.asarray(seed_order).tolist():
         if not unclustered[seed]:
             continue
         unclustered[seed] = False
-        seed_pattern = patterns.pattern(seed)
-        seed_size = int(seed_pattern.size)
-        if seed_size == 0:
+        # every unclustered seed has a non-empty pattern (empty rows were
+        # clustered above); candidates are the unclustered rows sharing
+        # >= 1 block column with it
+        seed_pattern = bcol[rowptr[seed] : rowptr[seed + 1]].tolist()
+        cand_all = np.concatenate([rows_of_col[colptr[c] : colptr[c + 1]] for c in seed_pattern])
+        cand_all = cand_all[unclustered[cand_all]]
+        if not cand_all.size:
             clusters.append(np.array([seed], dtype=np.int64))
             continue
-
-        # candidate rows: all unclustered rows sharing >= 1 block column
-        cand_chunks = [patterns.rows_touching(int(c)) for c in seed_pattern]
-        cand_all = np.concatenate(cand_chunks) if cand_chunks else np.empty(0, dtype=np.int64)
-        if cand_all.size:
-            cand, inter = sort_unique(cand_all, return_counts=True)
-            keep = unclustered[cand]
-            cand, inter = cand[keep], inter[keep]
-        else:
-            cand = np.empty(0, dtype=np.int64)
-            inter = np.empty(0, dtype=np.int64)
-
-        if cand.size:
-            scores = similarity(
-                inter.astype(np.float64), patterns.sizes[cand].astype(np.float64), seed_size
-            )
-            chosen = cand[scores >= threshold]
-            if max_cluster_size is not None and chosen.size > max_cluster_size - 1:
-                # keep the most similar rows
-                top = np.argsort(-scores[scores >= threshold])[: max_cluster_size - 1]
-                chosen = chosen[top]
-        else:
-            chosen = np.empty(0, dtype=np.int64)
+        cand, inter = sort_unique(cand_all, return_counts=True)
+        scores = similarity(inter.astype(np.float64), sizes[cand], len(seed_pattern))
+        passed = scores >= threshold
+        chosen = cand[passed]
+        if max_cluster_size is not None and chosen.size > max_cluster_size - 1:
+            # keep the most similar rows
+            top = np.argsort(-scores[passed])[: max_cluster_size - 1]
+            chosen = chosen[top]
 
         unclustered[chosen] = False
-        clusters.append(np.concatenate([[seed], chosen]).astype(np.int64))
+        clusters.append(np.concatenate(([seed], chosen)))
 
     if empty_rows.size:
         clusters.append(empty_rows.astype(np.int64))

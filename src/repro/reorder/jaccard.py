@@ -76,10 +76,9 @@ class JaccardReorderer(Reorderer):
         patterns = RowPatterns.from_csr(csr, w)
 
         def similarity(inter, cand_sizes, seed_size):
-            union = cand_sizes + seed_size - inter
-            with np.errstate(divide="ignore", invalid="ignore"):
-                jac = np.where(union > 0, inter / union, 1.0)
-            return jac  # similarity = 1 - distance; compare against 1 - threshold
+            # similarity = 1 - distance; compare against 1 - threshold.  The
+            # union is >= 1: the seed's pattern is non-empty
+            return inter / (cand_sizes + seed_size - inter)
 
         clusters = greedy_cluster_rows(
             patterns,

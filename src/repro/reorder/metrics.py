@@ -16,8 +16,9 @@ reordering heuristics can evaluate many candidate orderings cheaply.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
     "count_blocks",
     "blocks_per_block_row",
     "blocking_stats",
+    "blocking_stats_many",
     "block_row_support",
 ]
 
@@ -130,13 +132,84 @@ def blocks_per_block_row(
     row_perm: Optional[np.ndarray] = None,
     col_perm: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Number of non-zero blocks in each block row of the (permuted) matrix."""
+    """Number of non-zero blocks in each block row of the (permuted) matrix.
+
+    The unpermuted counts are memoised on ``csr`` per block shape (see
+    :func:`_unpermuted_counts`) and returned read-only.
+    """
     h, w = int(block_shape[0]), int(block_shape[1])
+    if row_perm is None and col_perm is None:
+        return _unpermuted_counts(csr, [(h, w)])[(h, w)]
     n_block_rows = -(-csr.nrows // h) if csr.nrows else 0
     n_block_cols = -(-csr.ncols // w) if csr.ncols else 0
     ids = block_coordinates(csr, block_shape, row_perm=row_perm, col_perm=col_perm)
     brows = ids // n_block_cols if n_block_cols else ids
     return np.bincount(brows, minlength=n_block_rows)
+
+
+def _memo(csr: CSRMatrix, name: str) -> dict:
+    """A per-shape memo kept on ``csr``.  Like
+    :func:`~repro.formats.csr.matrix_fingerprint`, the memos treat the
+    matrix arrays as immutable once constructed."""
+    memo = getattr(csr, name, None)
+    if memo is None:
+        memo = {}
+        setattr(csr, name, memo)
+    return memo
+
+
+def _unpermuted_counts(
+    csr: CSRMatrix, shapes: Iterable[Tuple[int, int]]
+) -> Dict[Tuple[int, int], np.ndarray]:
+    """The memo of ``csr``'s unpermuted blocks per block row, per block
+    shape, filled for every shape of ``shapes`` that it lacks.
+
+    The missing shapes share one :func:`block_coordinates` sort at their
+    gcd shape ``(g, k)``.  Block ``(I, J)`` of that blocking lies in block
+    ``(I // a, J // b)`` of an ``(a*g, b*k)`` blocking, so each shape's
+    unique ids are the gcd ids coarsened, re-sorted only when ``a > 1``
+    (with ``a == 1`` the coarsened ids stay in order).
+    """
+    memo = _memo(csr, "_blocks_per_row")
+    todo = [s for s in dict.fromkeys(shapes) if s not in memo]
+    if not todo:
+        return memo
+    g = math.gcd(*(h for h, _ in todo))
+    k = math.gcd(*(w for _, w in todo))
+    fine = block_coordinates(csr, (g, k))
+    fine_rows = fine_cols = None
+    for h, w in todo:
+        a, b = h // g, w // k
+        n_block_cols = max(1, -(-csr.ncols // w))
+        if a == b == 1:
+            ids = fine
+        else:
+            if fine_rows is None:
+                fine_rows, fine_cols = np.divmod(fine, max(1, -(-csr.ncols // k)))
+            ids = (fine_rows // a) * n_block_cols + fine_cols // b
+            if a > 1:
+                ids.sort()
+            ids = ids[run_starts(ids)]
+        bpr = np.bincount(ids // n_block_cols, minlength=-(-csr.nrows // h))
+        bpr.setflags(write=False)
+        memo[(h, w)] = bpr
+    return memo
+
+
+def blocking_stats_many(
+    csr: CSRMatrix, shapes: Iterable[Tuple[int, int]]
+) -> Dict[Tuple[int, int], BlockingStats]:
+    """Unpermuted :func:`blocking_stats` of every block shape in ``shapes``,
+    from one sorting pass over the non-zeros (see
+    :func:`_unpermuted_counts`); the tuner counts its whole block-shape
+    menu with it.  Memoised on ``csr`` per block shape."""
+    shapes = [(int(h), int(w)) for h, w in shapes]
+    counts = _unpermuted_counts(csr, shapes)
+    memo = _memo(csr, "_blocking_stats")
+    for shape in shapes:
+        if shape not in memo:
+            memo[shape] = BlockingStats.from_counts(counts[shape], csr.nnz, shape)
+    return {shape: memo[shape] for shape in shapes}
 
 
 def blocking_stats(
@@ -149,24 +222,15 @@ def blocking_stats(
     """Full blocking summary (block count, distribution, padding) of the
     (permuted) matrix.
 
-    The unpermuted summary is memoised on ``csr`` per block shape: the
-    tuner's block-count pass and every candidate's "before" stats read the
-    same one.  Like :func:`~repro.formats.csr.matrix_fingerprint`, this
-    treats the matrix arrays as immutable once constructed.
+    The unpermuted summary is memoised on ``csr`` per block shape (see
+    :func:`blocking_stats_many`): the tuner's block-count pass and every
+    candidate's "before" stats read the same one.
     """
     h, w = int(block_shape[0]), int(block_shape[1])
-    memo = None
     if row_perm is None and col_perm is None:
-        memo = getattr(csr, "_blocking_stats", None)
-        if memo is None:
-            memo = csr._blocking_stats = {}
-        if (h, w) in memo:
-            return memo[(h, w)]
+        return blocking_stats_many(csr, [(h, w)])[(h, w)]
     bpr = blocks_per_block_row(csr, block_shape, row_perm=row_perm, col_perm=col_perm)
-    stats = BlockingStats.from_counts(bpr, csr.nnz, (h, w))
-    if memo is not None:
-        memo[(h, w)] = stats
-    return stats
+    return BlockingStats.from_counts(bpr, csr.nnz, (h, w))
 
 
 def block_row_support(csr: CSRMatrix, block_width: int) -> list[np.ndarray]:

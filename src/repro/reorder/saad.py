@@ -62,9 +62,9 @@ class SaadReorderer(Reorderer):
         patterns = RowPatterns.from_csr(csr, w)
 
         def similarity(inter, cand_sizes, seed_size):
-            denom = np.sqrt(cand_sizes * float(seed_size))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(denom > 0, inter / denom, 0.0)
+            # both patterns are non-empty (a candidate shares a block
+            # column with the seed), so the denominator is >= 1
+            return inter / np.sqrt(cand_sizes * float(seed_size))
 
         clusters = greedy_cluster_rows(
             patterns,

@@ -28,6 +28,7 @@ from __future__ import annotations
 import base64
 import io
 import math
+import threading
 import tokenize
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -130,6 +131,12 @@ class ReceiveBuffer:
         return view[:got]
 
 
+#: numpy parses an npy header with ``ast.literal_eval``; concurrent parses
+#: on CPython 3.11 can fail AST validation ("AST constructor recursion
+#: depth mismatch"), so header parses run one at a time
+_HEADER_LOCK = threading.Lock()
+
+
 def decode_npy(raw, *, field: str = "array") -> np.ndarray:
     """Decode the bytes of one ``.npy`` file (any bytes-like object) into a
     new writable array.
@@ -143,11 +150,13 @@ def decode_npy(raw, *, field: str = "array") -> np.ndarray:
     try:
         version = np.lib.format.read_magic(fp)
         if version == (1, 0):
-            header = np.lib.format.read_array_header_1_0(fp, max_header_size=_MAX_NPY_HEADER)
+            read_header = np.lib.format.read_array_header_1_0
         elif version == (2, 0):
-            header = np.lib.format.read_array_header_2_0(fp, max_header_size=_MAX_NPY_HEADER)
+            read_header = np.lib.format.read_array_header_2_0
         else:
             raise BadRequest(f"{field}: unsupported npy format version {version}")
+        with _HEADER_LOCK:
+            header = read_header(fp, max_header_size=_MAX_NPY_HEADER)
     # numpy's header parser falls back to tokenize for headers written
     # by Python 2, so a garbled header can also raise TokenError
     except (ValueError, SyntaxError, TypeError, tokenize.TokenError) as exc:

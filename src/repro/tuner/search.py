@@ -44,7 +44,7 @@ from ..core.config import SMaTConfig
 from ..core.plan import ExecutionPlan, matrix_fingerprint
 from ..formats import CSRMatrix
 from ..kernels import KernelUnsupportedError
-from ..reorder.metrics import count_blocks
+from ..reorder.metrics import blocking_stats_many
 from .cache import TuningCache
 from .model import CandidateEstimate, estimate_candidate
 from .space import DEFAULT_REORDERERS, Candidate, candidate_space
@@ -362,12 +362,14 @@ class Tuner:
         default = self._default_candidate(base)
 
         start = time.perf_counter()
-        # one O(nnz) block-count pass per distinct SMaT shape, shared by
-        # every candidate using it (non-SMaT backends price their own
-        # work measure inside estimate_candidate)
+        # one O(nnz) block-count pass for every SMaT shape, memoised on
+        # ``A`` for each candidate's "before" stats (non-SMaT backends
+        # price their own work measure inside estimate_candidate)
         block_counts = {
-            shape: count_blocks(A, shape)
-            for shape in {c.block_shape for c in space if c.kernel == "smat"}
+            shape: stats.n_blocks
+            for shape, stats in blocking_stats_many(
+                A, [c.block_shape for c in space if c.kernel == "smat"]
+            ).items()
         }
         outcomes = []
         for cand in space:

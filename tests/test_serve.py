@@ -200,6 +200,44 @@ class TestWireFormat:
         with pytest.raises(BadRequest):
             decode_npy(body)
 
+    def test_npy_decodes_from_racing_threads(self):
+        """numpy parses npy headers with ``ast.literal_eval``, whose AST
+        conversion fails ("AST constructor recursion depth mismatch") when
+        two threads interleave in it.  A gc callback that yields the GIL
+        inside every collection makes the interleaving certain without the
+        decoder's lock."""
+        import gc
+
+        raw = encode_npy(np.arange(12, dtype=np.float32).reshape(3, 4))
+        failures = []
+
+        def decode_many():
+            try:
+                for _ in range(200):
+                    assert decode_npy(raw).shape == (3, 4)
+            except Exception as exc:  # reported by the assertion below
+                failures.append(repr(exc))
+
+        def yield_gil(phase, info):
+            time.sleep(0)
+
+        interval, threshold = sys.getswitchinterval(), gc.get_threshold()
+        sys.setswitchinterval(1e-5)
+        gc.set_threshold(5)
+        gc.callbacks.append(yield_gil)
+        try:
+            threads = [threading.Thread(target=decode_many) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            gc.callbacks.remove(yield_gil)
+            gc.set_threshold(*threshold)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
     def test_npy_encoder_rejects_objects(self):
         with pytest.raises(ValueError):
             encode_npy(np.array([object()]))

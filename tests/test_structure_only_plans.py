@@ -115,3 +115,22 @@ def test_reordered_build_counts_the_permuted_blocks_once(A, monkeypatch):
     assert plan.report.applied
     assert permuted_passes.count(True) == 1
     np.testing.assert_array_equal(plan.kernel.blocks_per_row, plan.reorder_result.blocks_per_row)
+
+
+def test_multiply_on_a_plans_kernel_leaves_the_plan_alone(A, B):
+    """``kernel.multiply`` on a reordered plan's kernel runs a fresh kernel
+    prepared for ``A`` itself; the plan keeps pricing its permuted
+    structure."""
+    plan = ExecutionPlan.build(A, SMaTConfig(reorder="jaccard"))
+    assert plan.report.applied and plan.report.blocks_after < plan.report.blocks_before
+    price_before = plan.price(8)
+    report_before = replace(plan.report)
+    kernel = plan.kernel
+
+    result = plan.kernel.multiply(plan.A, B)
+
+    np.testing.assert_allclose(result.C, A.to_scipy() @ B, rtol=1e-5, atol=1e-5)
+    assert result.meta["n_blocks"] == plan.report.blocks_before  # A unpermuted
+    assert plan.kernel is kernel and plan.report == report_before
+    assert plan.price(8) == price_before
+    assert price_before.kernel_meta["n_blocks"] == plan.report.blocks_after
