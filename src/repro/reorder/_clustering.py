@@ -65,30 +65,33 @@ class RowPatterns:
     @classmethod
     def from_csr(cls, csr: CSRMatrix, block_width: int) -> "RowPatterns":
         """Build the pattern structure from a CSR matrix at block-column
-        granularity ``block_width``."""
+        granularity ``block_width``.
+
+        The (row, block-column) pairs are the blocks of a ``(1, w)``
+        blocking (:func:`~repro.reorder.metrics.block_coordinates`, which
+        sorts nothing for a canonical CSR).  The transpose is scipy's
+        CSR -> CSC conversion of the 0/1 pattern: a counting sort that
+        lists the rows of each block column in ascending order.
+        """
         w = int(block_width)
         n_block_cols = -(-csr.ncols // w) if csr.ncols else 0
-        # (row, block column) pairs are the blocks of a (1, w) blocking
         pairs = block_coordinates(csr, (1, w))
-        u_rows = pairs // max(1, n_block_cols)
-        u_bcol = pairs - u_rows * max(1, n_block_cols)
+        u_rows, u_bcol = np.divmod(pairs, max(1, n_block_cols))
 
         sizes = np.bincount(u_rows, minlength=csr.nrows).astype(np.int64)
         rowptr = np.zeros(csr.nrows + 1, dtype=np.int64)
         np.cumsum(sizes, out=rowptr[1:])
 
-        # transposed structure
-        order = np.argsort(u_bcol, kind="stable")
-        rows_of_col = u_rows[order]
-        col_counts = np.bincount(u_bcol, minlength=n_block_cols).astype(np.int64)
-        colptr = np.zeros(n_block_cols + 1, dtype=np.int64)
-        np.cumsum(col_counts, out=colptr[1:])
+        import scipy.sparse as sp
+
+        ones = np.ones(pairs.size, dtype=np.int8)
+        csc = sp.csr_array((ones, u_bcol, rowptr), shape=(csr.nrows, n_block_cols)).tocsc()
 
         return cls(
             rowptr=rowptr,
             bcol=u_bcol,
-            colptr=colptr,
-            rows_of_col=rows_of_col,
+            colptr=csc.indptr.astype(np.int64, copy=False),
+            rows_of_col=csc.indices.astype(np.int64, copy=False),
             sizes=sizes,
             n_block_cols=n_block_cols,
         )
@@ -153,7 +156,7 @@ def greedy_cluster_rows(
         # >= 1 block column with it
         seed_pattern = bcol[rowptr[seed] : rowptr[seed + 1]].tolist()
         cand_all = np.concatenate([rows_of_col[colptr[c] : colptr[c + 1]] for c in seed_pattern])
-        cand_all = cand_all[unclustered[cand_all]]
+        cand_all = cand_all.compress(unclustered[cand_all])
         if not cand_all.size:
             clusters.append(np.array([seed], dtype=np.int64))
             continue

@@ -86,6 +86,13 @@ def _inverse(perm: Optional[np.ndarray], n: int) -> np.ndarray:
     return inv
 
 
+def _unique_sorted(ids: np.ndarray) -> np.ndarray:
+    """The distinct values of the ascending ``ids``.  ``np.compress``
+    gathers them several times faster than a boolean index, at the cost of
+    an index array as long as the result."""
+    return np.compress(run_starts(ids), ids)
+
+
 def block_coordinates(
     csr: CSRMatrix,
     block_shape: Tuple[int, int],
@@ -95,21 +102,49 @@ def block_coordinates(
 ) -> np.ndarray:
     """Unique linear block ids touched by the (permuted) matrix, sorted.
 
-    The linear id of block ``(I, J)`` is ``I * n_block_cols + J``.  Block
-    rows and columns are looked up per row and per column, so the pass
-    allocates one ``nnz``-long id array (plus a column term) and sorts it
-    in place.
+    The linear id of block ``(I, J)`` is ``I * n_block_cols + J``.  The
+    count runs in two stages:
+
+    1. the ``row * n_block_cols + J`` ids of the non-zeros, built in CSR
+       order, are the (row, block-column) pattern once deduplicated.  For
+       a canonical CSR they are already nondecreasing, so they are sorted
+       only when they descend (unsorted or permuted columns);
+    2. unless the blocks are one row high and the rows unpermuted, each
+       pattern entry is mapped to its block row and the result sorted:
+       a sort over the pattern, which is several times shorter than the
+       non-zeros.
+
+    With ``w == 1`` the pattern is the non-zeros themselves, so the ids
+    are built at block-row granularity in one array instead, and
+    deduplicated with a boolean index: a second nnz-long stage or index
+    array would raise the memory peak.
     """
     h, w = int(block_shape[0]), int(block_shape[1])
     n_block_cols = -(-csr.ncols // w) if csr.ncols else 0
-    row_ids = _inverse(row_perm, csr.nrows) // h * n_block_cols
+    # block row of each original row, times the row stride of the ids
+    row_base = _inverse(row_perm, csr.nrows) // h * n_block_cols
+    two_stage = w > 1 and (h > 1 or row_perm is not None)
+    row_ids = np.arange(csr.nrows, dtype=np.int64) * n_block_cols if two_stage else row_base
     ids = np.repeat(row_ids, np.diff(csr.rowptr))
     if col_perm is None:
         ids += csr.col // w
     else:
         ids += (_inverse(col_perm, csr.ncols) // w)[csr.col]
+    if ids.size > 1 and (ids[1:] < ids[:-1]).any():
+        ids.sort()
+    if w == 1:
+        return ids[run_starts(ids)]
+    pattern = _unique_sorted(ids)
+    del ids  # the nnz-long ids go before the pattern-long stage
+    if not two_stage:
+        return pattern
+    rows, bcols = np.divmod(pattern, n_block_cols)
+    del pattern
+    ids = row_base[rows]
+    del rows
+    ids += bcols
     ids.sort()
-    return ids[run_starts(ids)]
+    return _unique_sorted(ids)
 
 
 def count_blocks(
@@ -164,7 +199,7 @@ def _unpermuted_counts(
     """The memo of ``csr``'s unpermuted blocks per block row, per block
     shape, filled for every shape of ``shapes`` that it lacks.
 
-    The missing shapes share one :func:`block_coordinates` sort at their
+    The missing shapes share one :func:`block_coordinates` pass at their
     gcd shape ``(g, k)``.  Block ``(I, J)`` of that blocking lies in block
     ``(I // a, J // b)`` of an ``(a*g, b*k)`` blocking, so each shape's
     unique ids are the gcd ids coarsened, re-sorted only when ``a > 1``
@@ -189,7 +224,7 @@ def _unpermuted_counts(
             ids = (fine_rows // a) * n_block_cols + fine_cols // b
             if a > 1:
                 ids.sort()
-            ids = ids[run_starts(ids)]
+            ids = _unique_sorted(ids)
         bpr = np.bincount(ids // n_block_cols, minlength=-(-csr.nrows // h))
         bpr.setflags(write=False)
         memo[(h, w)] = bpr
@@ -200,7 +235,7 @@ def blocking_stats_many(
     csr: CSRMatrix, shapes: Iterable[Tuple[int, int]]
 ) -> Dict[Tuple[int, int], BlockingStats]:
     """Unpermuted :func:`blocking_stats` of every block shape in ``shapes``,
-    from one sorting pass over the non-zeros (see
+    from one block-counting pass over the non-zeros (see
     :func:`_unpermuted_counts`); the tuner counts its whole block-shape
     menu with it.  Memoised on ``csr`` per block shape."""
     shapes = [(int(h), int(w)) for h, w in shapes]

@@ -15,7 +15,8 @@ machinery:
    measure (:meth:`~repro.kernels.base.SpMMKernel.tuning_work`): BCSR
    block count for SMaT, streamed non-zeros for the CSR-based libraries,
    densified ``M x K`` elements for cuBLAS.  Calibrations are memoised
-   process-wide, so they are paid once, not per matrix.
+   process-wide, so they are paid once, not per matrix, and each sample
+   matrix is built once for every backend and block shape.
 2. **Block-count bounds** (per matrix x block shape, SMaT only): the
    candidate's ``n_e`` after reordering is unknown before the reordering
    runs, but it is bracketed by Eq. 2: no permutation can pack the matrix
@@ -60,6 +61,9 @@ CALIBRATION_SAMPLES = ((256, 8), (384, 24), (512, 8), (512, 64), (768, 48))
 
 _CalKey = Tuple[str, Tuple[int, int], str, str, str, int]
 _CALIBRATIONS: Dict[_CalKey, FitResult] = {}
+#: the calibration samples by (dimension, bandwidth), shared by every
+#: backend and block shape
+_SAMPLES: Dict[Tuple[int, int], CSRMatrix] = {}
 _CAL_LOCK = threading.Lock()
 
 
@@ -99,6 +103,19 @@ def _calibration_key(
     )
 
 
+def _sample(dim: int, bandwidth: int) -> CSRMatrix:
+    """The band calibration sample of ``(dim, bandwidth)``, built once per
+    process (until :func:`clear_calibration_cache`)."""
+    key = (dim, bandwidth)
+    with _CAL_LOCK:
+        A = _SAMPLES.get(key)
+    if A is None:
+        A = band_matrix(dim, bandwidth, rng=np.random.default_rng(bandwidth))
+        with _CAL_LOCK:
+            A = _SAMPLES.setdefault(key, A)
+    return A
+
+
 def calibrate(
     config: SMaTConfig,
     block_shape: Tuple[int, int],
@@ -131,7 +148,7 @@ def calibrate(
     times = []
     if kernel == "smat":
         for bw in CALIBRATION_BANDWIDTHS:
-            A = band_matrix(CALIBRATION_DIM, bw, rng=np.random.default_rng(bw))
+            A = _sample(CALIBRATION_DIM, bw)
             k = SMaTKernel(
                 config.arch,
                 config.precision,
@@ -144,7 +161,7 @@ def calibrate(
             times.append(result.timing.time_s)
     else:
         for dim, bw in CALIBRATION_SAMPLES:
-            A = band_matrix(dim, bw, rng=np.random.default_rng(bw))
+            A = _sample(dim, bw)
             k = get_kernel(kernel, config.arch, config.precision)
             k.prepare(A)
             result = k.price(n_cols)
@@ -157,9 +174,11 @@ def calibrate(
 
 
 def clear_calibration_cache() -> None:
-    """Drop the memoised Eq. 1 calibrations (mainly for tests)."""
+    """Drop the memoised Eq. 1 calibrations and their sample matrices
+    (mainly for tests)."""
     with _CAL_LOCK:
         _CALIBRATIONS.clear()
+        _SAMPLES.clear()
 
 
 def estimate_candidate(

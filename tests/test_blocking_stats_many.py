@@ -1,19 +1,30 @@
-"""One blocking pass for many block shapes.
+"""Block counting: one pass for many block shapes, and the passes
+themselves.
 
-``blocking_stats_many`` counts every shape from one sort at the shapes'
+``blocking_stats_many`` counts every shape from one pass at the shapes'
 gcd shape; each result must equal the per-shape ``blocking_stats`` of an
 unmemoised copy, field for field.  A cold tuning search counts its whole
-block-shape menu with it, so it sorts the unpermuted non-zeros once.
+block-shape menu with it, so it counts the unpermuted non-zeros once.
+
+``block_coordinates`` skips the sort of the non-zeros when their ids are
+already in order, and ``RowPatterns.from_csr`` transposes its pattern
+with a counting sort; both must equal a plain sort of every non-zero's
+block id (and a stable argsort), on canonical and non-canonical CSR.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro import SMaTConfig
 from repro.formats import CSRMatrix
-from repro.matrices import hidden_cluster_matrix, uniform_random
+from repro.formats.base import sort_unique
+from repro.matrices import hidden_cluster_matrix, suitesparse, uniform_random
 from repro.reorder import blocking_stats, blocks_per_block_row, metrics
-from repro.reorder.metrics import blocking_stats_many
+from repro.reorder._clustering import RowPatterns
+from repro.reorder.hypergraph import HypergraphReorderer
+from repro.reorder.metrics import block_coordinates, blocking_stats_many
 from repro.tuner import Tuner, block_shape_menu
 
 MENU = [(16, 8), (8, 8), (8, 16), (16, 16), (32, 8), (32, 16)]
@@ -99,8 +110,8 @@ def test_one_sort_fills_every_shape(monkeypatch):
 
 
 def test_cold_search_counts_blocks_in_one_unpermuted_pass(monkeypatch):
-    """A cold search measuring every candidate of the 6-shape FP16 menu sorts
-    the unpermuted non-zeros once: the candidates' "before" stats and the
+    """A cold search measuring every candidate of the 6-shape FP16 menu counts
+    the unpermuted non-zeros in one pass: the candidates' "before" stats and the
     plans whose reordering is not applied read the same memo (the Eq. 1
     calibration counts blocks of its own sample matrices)."""
     A = hidden_cluster_matrix(
@@ -121,3 +132,127 @@ def test_cold_search_counts_blocks_in_one_unpermuted_pass(monkeypatch):
     assert {o.candidate.block_shape for o in result.outcomes} == set(block_shape_menu("fp16"))
     assert any(o.measured and not o.applied for o in result.outcomes)
     assert unpermuted == [(8, 8)]
+
+
+def _non_canonical():
+    """CSR the constructor would not produce, built with ``check=False``:
+    columns shuffled within rows, and every third entry stored twice."""
+    rng = np.random.default_rng(12)
+    for name in ("empty-rows-cols", "50x29"):
+        A = MATRICES[name]
+        col = A.col.copy()
+        for lo, hi in zip(A.rowptr[:-1], A.rowptr[1:]):
+            col[lo:hi] = rng.permutation(col[lo:hi])
+        yield f"{name}-shuffled", CSRMatrix(A.rowptr, col, A.val, A.shape, check=False)
+        repeats = np.where(np.arange(A.nnz) % 3 == 0, 2, 1)
+        rows = np.repeat(np.repeat(np.arange(A.nrows), np.diff(A.rowptr)), repeats)
+        rowptr = np.zeros_like(A.rowptr)
+        np.cumsum(np.bincount(rows, minlength=A.nrows), out=rowptr[1:])
+        dup = CSRMatrix(
+            rowptr, np.repeat(col, repeats), np.repeat(A.val, repeats), A.shape, check=False
+        )
+        yield f"{name}-duplicates", dup
+
+
+DIFF_MATRICES = {**MATRICES, **dict(_non_canonical())}
+DIFF_SHAPES = [(h, w) for w in (1, 8, 16) for h in (1, 8, 16)]
+
+
+def _inverse(perm, n):
+    return np.arange(n) if perm is None else np.argsort(perm)
+
+
+def _reference_ids(A, shape, row_perm=None, col_perm=None):
+    """A sort of every non-zero's linear block id, deduplicated."""
+    h, w = shape
+    n_block_cols = -(-A.ncols // w) if A.ncols else 0
+    rows = np.repeat(np.arange(A.nrows), np.diff(A.rowptr))
+    block_rows = _inverse(row_perm, A.nrows)[rows] // h
+    block_cols = _inverse(col_perm, A.ncols)[A.col] // w
+    return sort_unique((block_rows * n_block_cols + block_cols).astype(np.int64))
+
+
+def _reference_patterns(A, w):
+    """``RowPatterns`` with the transpose taken by a stable argsort."""
+    n_block_cols = -(-A.ncols // w) if A.ncols else 0
+    pairs = _reference_ids(A, (1, w))
+    u_rows = pairs // max(1, n_block_cols)
+    u_bcol = pairs - u_rows * max(1, n_block_cols)
+    sizes = np.bincount(u_rows, minlength=A.nrows).astype(np.int64)
+    rowptr = np.zeros(A.nrows + 1, dtype=np.int64)
+    np.cumsum(sizes, out=rowptr[1:])
+    col_counts = np.bincount(u_bcol, minlength=n_block_cols).astype(np.int64)
+    colptr = np.zeros(n_block_cols + 1, dtype=np.int64)
+    np.cumsum(col_counts, out=colptr[1:])
+    return RowPatterns(
+        rowptr=rowptr,
+        bcol=u_bcol,
+        colptr=colptr,
+        rows_of_col=u_rows[np.argsort(u_bcol, kind="stable")],
+        sizes=sizes,
+        n_block_cols=n_block_cols,
+    )
+
+
+def _assert_same(got, expected):
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("name", list(DIFF_MATRICES))
+def test_block_counts_equal_a_sort_of_every_non_zero(name):
+    A = DIFF_MATRICES[name]
+    rng = np.random.default_rng(13)
+    row_perm, col_perm = rng.permutation(A.nrows), rng.permutation(A.ncols)
+    perms = {
+        "neither": {},
+        "row": {"row_perm": row_perm},
+        "col": {"col_perm": col_perm},
+        "both": {"row_perm": row_perm, "col_perm": col_perm},
+    }
+    for h, w in DIFF_SHAPES:
+        n_block_rows = -(-A.nrows // h) if A.nrows else 0
+        n_block_cols = -(-A.ncols // w) if A.ncols else 0
+        for kwargs in perms.values():
+            expected = _reference_ids(A, (h, w), **kwargs)
+            _assert_same(block_coordinates(A, (h, w), **kwargs), expected)
+            brows = expected // n_block_cols if n_block_cols else expected
+            _assert_same(
+                blocks_per_block_row(_fresh(A), (h, w), **kwargs),
+                np.bincount(brows, minlength=n_block_rows),
+            )
+
+
+@pytest.mark.parametrize("name", list(DIFF_MATRICES))
+def test_row_patterns_equal_a_stable_argsort_transpose(name, monkeypatch):
+    A = DIFF_MATRICES[name]
+    for w in (1, 8, 16):
+        got, expected = RowPatterns.from_csr(A, w), _reference_patterns(A, w)
+        for field in ("rowptr", "bcol", "colptr", "rows_of_col", "sizes"):
+            _assert_same(getattr(got, field), getattr(expected, field))
+        assert type(got.n_block_cols) is int and got.n_block_cols == expected.n_block_cols
+    # the hypergraph reorderer is not in the preprocessing pin
+    perms = [HypergraphReorderer((16, w)).compute_row_perm(A) for w in (1, 8, 16)]
+    monkeypatch.setattr(
+        RowPatterns, "from_csr", classmethod(lambda cls, csr, w: _reference_patterns(csr, w))
+    )
+    for w, perm in zip((1, 8, 16), perms):
+        _assert_same(perm, HypergraphReorderer((16, w)).compute_row_perm(A))
+
+
+@pytest.mark.parametrize(
+    "shape, permuted", [((8, 1), False), ((16, 8), False), ((16, 8), True), ((1, 8), False)]
+)
+def test_block_coordinates_memory_peak(shape, permuted):
+    """The traced peak stays within 2.2 nnz-long int64 arrays: the single
+    stage at ``w == 1`` (Magicube's ``(v, 1)``) keeps its boolean gather,
+    and the nnz-long ids go before the pattern-long stage."""
+    A = suitesparse.load("cop20k_A", scale=0.1)
+    row_perm = np.random.default_rng(14).permutation(A.nrows) if permuted else None
+    tracemalloc.start()
+    try:
+        block_coordinates(A, shape, row_perm=row_perm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * A.nnz * 8

@@ -92,6 +92,31 @@ class TestAnalyticalModel:
         second = calibrate(SMaTConfig(), (16, 8), n_cols=8)
         assert first is second
 
+    def test_cold_sweep_builds_each_sample_once(self, monkeypatch):
+        """A cold calibration of the 6-shape menu builds the 4 band samples
+        once; each fit equals a fresh per-shape calibration, and
+        ``clear_calibration_cache`` drops the samples too."""
+        from repro.tuner import model
+
+        built = []
+        band_matrix = model.band_matrix
+
+        def counted(n, bandwidth, **kwargs):
+            built.append((n, bandwidth))
+            return band_matrix(n, bandwidth, **kwargs)
+
+        monkeypatch.setattr(model, "band_matrix", counted)
+        menu = block_shape_menu("fp16")
+        assert len(menu) == 6
+        clear_calibration_cache()
+        fits = {shape: calibrate(SMaTConfig(), shape, n_cols=8) for shape in menu}
+        assert len(built) == len(model.CALIBRATION_BANDWIDTHS) == 4
+        for shape in menu:
+            clear_calibration_cache()
+            assert calibrate(SMaTConfig(), shape, n_cols=8) == fits[shape]
+        assert len(built) == 4 * (1 + len(menu))
+        clear_calibration_cache()
+
     def test_estimate_brackets_time(self, clustered):
         est = estimate_candidate(
             clustered, SMaTConfig(), (16, 8), reorders=True, n_cols=8
