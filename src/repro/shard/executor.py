@@ -6,7 +6,10 @@ result of a sharded multiply is just ``A @ B``: it is computed once, with
 the parent matrix's cached operator, and no per-shard partial product is
 gathered.  Each shard's plan then prices its submatrix against its
 column range of ``B`` on the simulated device
-(:meth:`~repro.core.plan.ExecutionPlan.price`).  The speedups of sharding
+(:meth:`~repro.core.plan.ExecutionPlan.price`).  A price depends only on
+the plan and the width of ``B``, so each shard grid is priced once per
+width and kept with its :class:`~repro.shard.partition.Partition`: a warm
+sharded multiply costs its product plus lookups.  The speedups of sharding
 are in simulated device time (per-shard tuning, the device-parallel
 critical path).  The per-shard breakdown is reported as
 :class:`ShardReport` rows inside a :class:`ShardedReport`.
@@ -20,6 +23,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ..kernels import PRICE_MEMO_SIZE
 from ..obs.trace import NULL_TRACER
 from .partition import Partition
 from .plan import ShardPlanEntry
@@ -46,8 +50,9 @@ class ShardReport:
     cache_hit: bool
     #: simulated device time of this shard's kernel run
     simulated_ms: float
-    #: host wall-clock of pricing this shard (its share of ``C`` is
-    #: computed with the whole matrix, outside this time)
+    #: host wall-clock of getting this shard's price: ~0 when the
+    #: partition already priced this grid at this width (its share of
+    #: ``C`` is computed with the whole matrix, outside this time)
     wall_ms: float
     #: this shard's share of the total nnz, relative to a perfect split
     #: (1.0 = exactly nnz / n_shards)
@@ -114,9 +119,10 @@ class ShardedReport:
 
 
 def _shard_report(
-    entry: ShardPlanEntry, ideal_nnz: float, simulated_ms: float, wall_ms: float, blocks: int
+    entry: ShardPlanEntry, ideal_nnz: float, price: Tuple[float, int], wall_ms: float
 ) -> ShardReport:
     shard = entry.shard
+    simulated_ms, blocks = price
     return ShardReport(
         index=shard.index,
         pos=shard.pos,
@@ -133,6 +139,14 @@ def _shard_report(
     )
 
 
+def _remember_prices(partition: Partition, key: Tuple, prices: Tuple) -> None:
+    with partition.prices_lock:
+        memo = partition.prices
+        if key not in memo and len(memo) >= PRICE_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = prices
+
+
 def execute_partition(
     partition: Partition,
     entries: Sequence[ShardPlanEntry],
@@ -143,9 +157,13 @@ def execute_partition(
     """Compute ``C = A @ B`` and price every shard against ``B``.
 
     ``entries`` must correspond one-to-one (and in order) to
-    ``partition.shards``.  ``tracer`` (a :class:`repro.obs.Tracer`)
-    records one ``shard.run`` span per non-empty shard, nested under the
-    caller's current span.
+    ``partition.shards``.  Each shard's ``(simulated_ms, blocks)`` is
+    kept in ``partition.prices`` under the shard plans themselves and the
+    width of ``B`` (up to :data:`~repro.kernels.PRICE_MEMO_SIZE` keys), so
+    a grid is priced once per width and a plan rebuilt after an eviction
+    is priced again.  ``tracer`` (a :class:`repro.obs.Tracer`) records one
+    ``shard.run`` span per non-empty shard, nested under the caller's
+    current span.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     A = partition.A
@@ -161,20 +179,25 @@ def execute_partition(
     start = time.perf_counter()
     C = A.spmm(B_arr)
     n_cols = C.shape[1]
+    key = (tuple(entry.plan for entry in entries), n_cols)
+    memo = partition.prices.get(key)
     reports = []
-    for entry in entries:
-        shard = entry.shard
+    for i, entry in enumerate(entries):
         if entry.plan is None:  # empty shard: contributes nothing
-            reports.append(_shard_report(entry, ideal_nnz, 0.0, 0.0, 0))
-            continue
-        with tracer.span("shard.run", shard=shard.index, backend=entry.backend) as span:
-            shard_start = time.perf_counter()
-            report = entry.plan.price(n_cols)
-            shard_ms = 1e3 * (time.perf_counter() - shard_start)
-            span.set(nnz=shard.nnz, wall_ms=round(shard_ms, 3))
-        reports.append(
-            _shard_report(entry, ideal_nnz, report.simulated_ms, shard_ms, report.n_blocks)
-        )
+            price, shard_ms = (0.0, 0), 0.0
+        else:
+            with tracer.span("shard.run", shard=entry.shard.index, backend=entry.backend) as span:
+                shard_start = time.perf_counter()
+                if memo is None:
+                    report = entry.plan.price(n_cols)
+                    price = (report.simulated_ms, report.n_blocks)
+                else:
+                    price = memo[i]
+                shard_ms = 1e3 * (time.perf_counter() - shard_start)
+                span.set(nnz=entry.shard.nnz, wall_ms=round(shard_ms, 3))
+        reports.append(_shard_report(entry, ideal_nnz, price, shard_ms))
+    if memo is None:
+        _remember_prices(partition, key, tuple((r.simulated_ms, r.blocks) for r in reports))
     wall_ms = 1e3 * (time.perf_counter() - start)
 
     if B_arr.ndim == 1:

@@ -32,8 +32,9 @@ blocking.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -147,6 +148,15 @@ class Partition:
     shards: List[Shard]
     #: unit of the shard weights ("nnz" or "s")
     weight_unit: str = "nnz"
+    #: simulated ``(ms, blocks)`` of every shard, keyed on ``(shard plans,
+    #: n_cols)``: filled by :func:`~repro.shard.executor.execute_partition`
+    #: under ``prices_lock``, oldest entry dropped first
+    prices: Dict[Tuple, Tuple[Tuple[float, int], ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    prices_lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
 
     @property
     def n_shards(self) -> int:

@@ -63,9 +63,17 @@ def estimate_spectral_bounds(
 
 
 def _residual_norm(r: np.ndarray, b_norm: np.ndarray) -> float:
-    """Max relative column norm ``||r_j|| / ||b_j||`` of a residual block."""
+    """Max relative column norm ``||r_j|| / ||b_j||`` of a float64 residual.
+
+    One pass with no copy.  The values equal ``np.linalg.norm(r,
+    axis=0)``: across columns both sum row by row, and a single column
+    (contiguous, so numpy sums it pairwise) takes ``norm``'s own reduce.
+    """
     r2 = r.reshape(r.shape[0], -1)
-    norms = np.linalg.norm(r2.astype(np.float64), axis=0)
+    if r2.shape[1] == 1:
+        norms = np.sqrt(np.add.reduce(r2 * r2, axis=0))
+    else:
+        norms = np.sqrt(np.einsum("ij,ij->j", r2, r2))
     return float((norms / b_norm).max())
 
 
@@ -82,8 +90,10 @@ def _prepare_rhs(A: CSRMatrix, b: np.ndarray, x0: Optional[np.ndarray]):
     if x0 is None:
         x = np.zeros_like(b)
     else:
-        x = np.asarray(x0, dtype=np.float64)
-        x = x.reshape(-1, 1) if x.ndim == 1 else x.copy()
+        # always a copy: the smoothers update x in place
+        x = np.array(x0, dtype=np.float64)
+        if x.ndim == 1:
+            x = x.reshape(-1, 1)
         if x.shape != b.shape:
             raise ValueError(f"x0 shape {x.shape} must match b shape {b.shape}")
     b_norm = np.linalg.norm(b, axis=0)
@@ -136,7 +146,7 @@ def jacobi_smoother(
             if residual < tol:
                 report.converged = True
                 break
-            x = x + omega * (r / diag[:, None])
+            x += omega * (r / diag[:, None])
     return SmootherResult(x=x.ravel() if was_vector else x, report=report)
 
 
@@ -190,15 +200,16 @@ def chebyshev_smoother(
             d = r / theta
             rho = 1.0 / sigma
             for _ in range(max_iter):
-                x = x + d
+                x += d
                 Ad = op.matmul(d.astype(np.float32), report).astype(np.float64)
-                r = r - Ad.reshape(b.shape)
+                r -= Ad.reshape(b.shape)
                 residual = _residual_norm(r, b_norm)
                 op.set_residual(report, residual)
                 if residual < tol:
                     report.converged = True
                     break
                 rho_next = 1.0 / (2.0 * sigma - rho)
-                d = rho_next * rho * d + (2.0 * rho_next / delta) * r
+                d *= rho_next * rho
+                d += (2.0 * rho_next / delta) * r
                 rho = rho_next
     return SmootherResult(x=x.ravel() if was_vector else x, report=report)
